@@ -13,8 +13,20 @@ Per-sample decisions:
   exact counter (conservative reject above the exact-degree cutoff, counted
   in the estimate's `unresolved`).
 
+The scan runs in a latent space.  On the t-grid the normalized polynomial is
+close to a smooth stationary process (kernel e^(-tau^2/4)), so the grid
+weight matrix is numerically low-rank: each call factors it once by SVD and
+keeps rank r, r = 85 of 145 columns at n = 144 (full axis), 230 of 1001 at
+n = 1000 (full axis), 211 of 10001 at n = 10^4 (low interval).  A sample is
+then r normals xi, scanned through an r-column factor with thresholds widened
+by each row's residual margin; only the samples the scan cannot settle are
+lifted to an exactly N(0, I) coefficient vector and decided by the
+coefficient-space scan and the exact checks above.  A latent reject or
+accept can differ from the coefficient-space verdict only with probability
+below e^-50 per sample (see _SignScanner).
+
 Rare events (p far below 1e-6, as on the edge intervals at n = 10^4) use
-adaptive multilevel splitting on the scan score with pCN moves
+adaptive multilevel splitting on the latent scan score with pCN moves
 (estimate_persistence_splitting); its final stage makes the same per-sample
 decisions as above.
 
@@ -72,7 +84,9 @@ _AMBIG_NORMALIZED = 1e-9  # normalized |value| below this is unresolvable in flo
 _DIP_GUARD = 12.0  # clearance in units of the conditional in-cell sd
 _REFINE_DEPTH = 6
 _EXACT_FALLBACK_MAX_DEGREE = 128
-_W_CACHE_ELEMENTS = 15_000_000
+_W_MAX_ELEMENTS = 15_000_000  # largest weight matrix a scanner builds
+_MARGIN_MAX = 0.1  # largest latent row residual margin, in units of the row's tau
+_FLOAT_SLACK = 1e-3  # tau units; the scan's and the lift's rounding is below 1e-4
 _DEFAULT_BATCH = 4096
 
 
@@ -141,6 +155,25 @@ class _SignScanner:
     classify() maps a batch of coefficient vectors to verdicts
     -1 (certifiably nonpositive somewhere), +1 (positive with clearance,
     restricted intervals only), 0 (needs per-sample work).
+
+    scan() gives the same verdicts from latent vectors xi ~ N(0, I_r).  The
+    padded rows of classify() (limit rows first and last, each in units of
+    its threshold tau, so -1 and 1 are the reject and ambiguity thresholds)
+    form the matrix W~ over the columns any row touches; its SVD truncated
+    to rank r gives W~ = G V + E, with G = U_r S_r and V = V_r^T.  A lifted
+    vector a (see lift) has V a[columns] = xi, so its padded values are
+    G xi + E a[columns], and |E_j a[columns]| <= |E_j| |a|.  The row margin
+    is margin_j = |E_j| (sqrt(n+1) + 10) plus _FLOAT_SLACK for rounding, so
+    the latent values miss the padded ones by more than margin_j only if
+    |a| > sqrt(n+1) + 10, which has probability below e^-50 (|a| is
+    1-Lipschitz in a with mean at most sqrt(n+1)).  Outside that event a
+    latent reject (some row below -(1 + margin_j)) is a classify() reject of
+    the lift, and a latent accept (every row clears kappa by margin_j and
+    none is within 1 + margin_j of zero) is a classify() accept.  r is the
+    smallest rank with every |E_j| (sqrt(n+1) + 10) <= 1/10, so the widened
+    thresholds move almost no sample.  The float floor of the factor, its
+    full-rank residual on the same scale, is 190x below that bound at
+    n = 144 (full axis) and 15x below at n = 10^4 (low interval).
     """
 
     REJECT = -1
@@ -180,42 +213,61 @@ class _SignScanner:
             pad = pad + [t_hi]
         self.t_pad = np.array(pad)
 
+        rows = len(self.xs)
+        if rows * (n + 1) > _W_MAX_ELEMENTS:
+            raise ValueError(
+                f"the scanner's weight rows ({rows} x {n + 1}) exceed "
+                f"{_W_MAX_ELEMENTS} elements"
+            )
         logw = log_binomial_row(n)
         i = np.arange(n + 1, dtype=float)
-        rows = len(self.xs)
-        self._cache_rows = rows * (n + 1) <= _W_CACHE_ELEMENTS
-        self._w = None
-        self.row_mass = np.empty(rows)  # sum of weights, noise scale
+        w = np.empty((rows, n + 1))
         self.inv_sd = np.empty(rows)  # 1 / sqrt(M(x)) in normalized units
-        blocks = [] if self._cache_rows else None
-        block = []
         for j, x in enumerate(self.xs):
             lt = logw + i * math.log(x)
             m = float(lt.max())
-            w = np.exp(lt - m)
-            self.row_mass[j] = w.sum()
+            w[j] = np.exp(lt - m)
             self.inv_sd[j] = math.exp(m - 0.5 * mn_exact(n, float(x)).log_abs)
-            if self._cache_rows:
-                block.append(w)
-        if self._cache_rows:
-            self._w = np.array(block)
-        self.tau = _NOISE_REL * self.row_mass
+        self.tau = _NOISE_REL * w.sum(axis=1)  # noise scale from the row mass
         self.kappa = _clearance(step)
+        # the coefficients some row (or limit point) depends on; the weights of
+        # the others underflow to zero on every row
+        keep = (w != 0.0).any(axis=0)
+        keep[0] |= self.left_limit
+        keep[-1] |= self.right_limit
+        self.columns = np.flatnonzero(keep)
+        self._w = w[:, self.columns]
+        self._factor()
+
+    def _factor(self) -> None:
+        """Rank-r factor of the padded rows in tau units (see the class
+        docstring): sets rank, the factor _g (padded rows x r), the lift
+        basis _v (r x columns), margin and u_scale (tau units to u units)."""
+        limit_tau = np.array([_NOISE_REL])  # a limit row's mass is 1
+        rows = [self._w / self.tau[:, None]]
+        scale = [self.tau * self.inv_sd]
+        if self.left_limit:
+            rows.insert(0, (self.columns == 0)[None, :] / _NOISE_REL)
+            scale.insert(0, limit_tau)
+        if self.right_limit:
+            rows.append((self.columns == self.n)[None, :] / _NOISE_REL)
+            scale.append(limit_tau)
+        padded = np.vstack(rows)
+        self.u_scale = np.concatenate(scale)
+        u, s, vt = np.linalg.svd(padded, full_matrices=False)
+        us = u * s
+        # tail[j, k] = |row j of the rank-k residual|^2; it falls with k, so
+        # the smallest admissible rank is the number of ranks that fail
+        tail = np.cumsum((us * us)[:, ::-1], axis=1)[:, ::-1]
+        reach = math.sqrt(self.n + 1) + 10.0
+        worst = np.sqrt(tail.max(axis=0)) * reach
+        self.rank = int(np.count_nonzero(worst > _MARGIN_MAX))
+        self._g = np.ascontiguousarray(us[:, : self.rank])
+        self._v = vt[: self.rank].copy()
+        residual = padded - self._g @ self._v
+        self.margin = np.linalg.norm(residual, axis=1) * reach + _FLOAT_SLACK
 
     # -- batched classification --
-
-    def _values(self, a: np.ndarray) -> np.ndarray:
-        """Raw grid values W @ a for a batch (n+1, B)."""
-        if self._w is not None:
-            return self._w @ a
-        logw = log_binomial_row(self.n)
-        i = np.arange(self.n + 1, dtype=float)
-        out = np.empty((len(self.xs), a.shape[1]))
-        for j, x in enumerate(self.xs):
-            lt = logw + i * math.log(x)
-            w = np.exp(lt - lt.max())
-            out[j] = w @ a
-        return out
 
     def classify(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Verdicts for a batch of coefficient columns, plus the padded
@@ -223,7 +275,7 @@ class _SignScanner:
         b = a.shape[1]
         if self.degenerate:
             return np.full(b, self.ACCEPT, dtype=np.int8), None
-        v = self._values(a)
+        v = self._w @ a[self.columns]
         u = v * self.inv_sd[:, None]
         negdef = (v < -self.tau[:, None]).any(axis=0)
         ambig = (np.abs(v) <= self.tau[:, None]).any(axis=0)
@@ -249,6 +301,38 @@ class _SignScanner:
             ).all(axis=0)
             verdicts[cleared & ~negdef & ~ambig] = self.ACCEPT
         return verdicts, u_pad
+
+    def scan(self, xi: np.ndarray) -> np.ndarray:
+        """classify()'s verdicts for the lifts of a batch of latent columns
+        (rank, B), up to probability e^-50 per column; ESCALATE columns have
+        to be lifted and classified.  The interval must not be degenerate."""
+        y = self._g @ xi
+        band = 1.0 + self.margin[:, None]
+        negdef = (y < -band).any(axis=0)
+        verdicts = np.full(xi.shape[1], self.ESCALATE, dtype=np.int8)
+        verdicts[negdef] = self.REJECT
+        if self.interval.kind != "full":
+            u_low = (y - self.margin[:, None]) * self.u_scale[:, None]
+            cleared = (np.minimum(u_low[:-1], u_low[1:]) >= self.kappa).all(axis=0)
+            ambig = (np.abs(y) <= band).any(axis=0)
+            verdicts[cleared & ~negdef & ~ambig] = self.ACCEPT
+        return verdicts
+
+    def score(self, xi: np.ndarray) -> np.ndarray:
+        """Upper bound on the minimum of classify()'s u_pad over the lifts of
+        each latent column (up to probability e^-50), so a column whose lift
+        persists scores above zero.  The interval must not be degenerate."""
+        y = self._g @ xi + self.margin[:, None]
+        return (y * self.u_scale[:, None]).min(axis=0)
+
+    def lift(self, xi: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Coefficient columns a with V a[columns] = xi: a[columns] =
+        V^T xi + (I - V^T V) z[columns], a = z elsewhere.  With xi ~ N(0, I_r)
+        and z ~ N(0, I_(n+1)) independent, a is exactly N(0, I_(n+1))."""
+        a = z.copy()
+        zc = z[self.columns]
+        a[self.columns] = zc + self._v.T @ (xi - self._v @ zc)
+        return a
 
     # -- per-sample resolution for restricted intervals --
 
@@ -343,6 +427,8 @@ def _decide(scanner: _SignScanner, a, verdicts, u_pad) -> np.ndarray:
 
 
 def _persistence_worker(task) -> tuple[int, int, int]:
+    """(successes, lifted columns, unresolved samples) of one worker's share:
+    latent scan, then the lifted columns through classify and _decide."""
     n, kind, step, child_ss, count, batch = task
     rng = np.random.default_rng(child_ss)
     if count == 0:
@@ -350,22 +436,50 @@ def _persistence_worker(task) -> tuple[int, int, int]:
     if n == 0:
         draws = rng.standard_normal((1, count))
         return int(np.count_nonzero(draws[0] > 0.0)), 0, 0
-    interval = IntervalSpec(kind)
-    scanner = _SignScanner(n, interval, step)
+    scanner = _SignScanner(n, IntervalSpec(kind), step)
+    if scanner.degenerate:  # the event holds vacuously
+        return count, 0, 0
     successes = 0
     escalated = 0
     remaining = count
     while remaining > 0:
         b = min(batch, remaining)
         remaining -= b
-        a = rng.standard_normal((n + 1, b))
-        # verdicts and u_pad stay bound until the next batch replaces them:
-        # freeing them before the next draw ran ~15% slower (n = 144, full
-        # axis, one BLAS thread, 2-vCPU Xeon VM)
-        verdicts, u_pad = scanner.classify(a)
-        successes += int(np.count_nonzero(_decide(scanner, a, verdicts, u_pad)))
-        escalated += int(np.count_nonzero(verdicts == _SignScanner.ESCALATE))
+        xi = rng.standard_normal((scanner.rank, b))
+        verdicts = scanner.scan(xi)
+        successes += int(np.count_nonzero(verdicts == _SignScanner.ACCEPT))
+        lifted = np.flatnonzero(verdicts == _SignScanner.ESCALATE)
+        if len(lifted):
+            z = rng.standard_normal((n + 1, len(lifted)))
+            a = scanner.lift(xi[:, lifted], z)
+            persistent = _decide(scanner, a, *scanner.classify(a))
+            successes += int(np.count_nonzero(persistent))
+            escalated += len(lifted)
     return successes, escalated, scanner.unresolved
+
+
+def _pin_blas() -> None:
+    """Pool initializer: one OpenBLAS thread per worker, so pooled workers do
+    not oversubscribe the cores.  Acts on the OpenBLAS bundled with numpy
+    wheels; with any other BLAS it does nothing.  Thread counts change the
+    speed, not the results."""
+    import ctypes
+    from pathlib import Path
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        lib = ctypes.CDLL(str(path))
+        for suffix in ("64_", ""):
+            setter = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                return
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas)
 
 
 def _partition(total: int, workers: int) -> list[int]:
@@ -410,11 +524,14 @@ def estimate_persistence(
     if workers == 1:
         results = [_persistence_worker(tasks[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _pool(workers) as pool:
             results = list(pool.map(_persistence_worker, tasks))
     successes = sum(r[0] for r in results)
+    escalated = sum(r[1] for r in results)
     unresolved = sum(r[2] for r in results)
-    return PersistenceEstimate.from_counts(successes, samples, level, unresolved)
+    return PersistenceEstimate.from_counts(
+        successes, samples, level, unresolved, escalated
+    )
 
 
 # adaptive multilevel splitting tuning; part of the determinism contract
@@ -425,52 +542,11 @@ _PCN_STEPS = 10
 _PCN_TARGET_ACCEPT = 0.3
 
 
-class _SplittingScore:
-    """The splitting score: the minimum of the scanner's padded normalized
-    grid values (classify()'s u_pad, limit points included).  A column that
-    persists has score > 0.
-
-    Only the coefficients the score can depend on are carried: a column whose
-    cached weight underflows to zero on every grid row cannot move it, so
-    under every conditional law the levels impose those coefficients stay
-    independent N(0, 1) and are drawn fresh for the final decision.
-    """
-
-    def __init__(self, scanner: _SignScanner):
-        if scanner.degenerate:
-            self.columns = np.arange(0)
-            self._w = None
-            return
-        if scanner._w is None:
-            raise ValueError(
-                "splitting needs the cached weight rows (rows x (n+1) <= "
-                f"{_W_CACHE_ELEMENTS})"
-            )
-        keep = (scanner._w != 0.0).any(axis=0)
-        keep[0] |= scanner.left_limit
-        keep[-1] |= scanner.right_limit
-        self.columns = np.flatnonzero(keep)
-        self._w = scanner._w[:, self.columns] * scanner.inv_sd[:, None]
-        self._limits = []
-        if scanner.left_limit:
-            self._limits.append(0)
-        if scanner.right_limit:
-            self._limits.append(len(self.columns) - 1)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Scores of a batch whose rows are the coefficients `columns`."""
-        if self._w is None:
-            return np.full(x.shape[1], np.inf)
-        s = (self._w @ x).min(axis=0)
-        for row in self._limits:
-            s = np.minimum(s, x[row])
-        return s
-
-
 @dataclass(frozen=True)
 class _Replicate:
-    """One splitting run: its estimate of p and diagnostics, plus
-    the final-level particles and the verdicts the final stage gave them."""
+    """One splitting run: its estimate of p and diagnostics, plus the
+    final-level particles lifted to coefficients and the verdicts the final
+    stage gave them (no particles when the interval is degenerate)."""
 
     p: float
     levels: int
@@ -493,17 +569,25 @@ def _splitting_replicate(
     N(0, I) invariant, accepting a step only if its score stays above the
     level.  rho is fixed within a level and adapts between levels toward a
     target acceptance rate.  Once the k-th lowest score is nonnegative, the
-    final stage decides every particle with classify and _decide, so a
-    persistent verdict means what it means in plain Monte Carlo, and
-    p = prod(1 - K_level / N) * (persistent particles) / N
-    estimates P(persistent).  Particles carry only the coefficients the
-    score depends on (see _SplittingScore); the rest are drawn at the end.
+    final stage lifts every particle and decides it with classify and
+    _decide, so a persistent verdict means what it means in plain Monte
+    Carlo, and p = prod(1 - K_level / N) * (persistent particles) / N
+    estimates P(persistent).
+
+    Particles are the scanner's latent vectors xi and the score is
+    _SignScanner.score, an upper bound on the minimum normalized grid value
+    of any lift, so persistence implies a positive score.  The score depends
+    on xi alone; the rest of a lift, (I - V^T V) z, stays independent of xi
+    under every level's conditional law and is drawn fresh at the end.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     scanner = _SignScanner(n, IntervalSpec(kind), step)
-    score_of = _SplittingScore(scanner)
-    x = rng.standard_normal((len(score_of.columns), particles))
-    score = score_of(x)
+    if scanner.degenerate:  # the event holds vacuously
+        return _Replicate(
+            1.0, 0, particles, 0, np.empty((n + 1, 0)), np.empty(0, dtype=bool)
+        )
+    x = rng.standard_normal((scanner.rank, particles))
+    score = scanner.score(x)
     k = max(1, int(_SPLIT_KILL_FRACTION * particles))
     spread = math.sqrt(1.0 - _PCN_RHO**2)
     log_weight = 0.0
@@ -524,7 +608,7 @@ def _splitting_replicate(
         taken = 0
         for _ in range(_PCN_STEPS):
             proposal = rho * y + spread * rng.standard_normal(y.shape)
-            sp = score_of(proposal)
+            sp = scanner.score(proposal)
             accept = sp > level
             y[:, accept] = proposal[:, accept]
             sy[accept] = sp[accept]
@@ -538,8 +622,7 @@ def _splitting_replicate(
         # invariant for N(0, I) conditioned above that level
         rate = taken / (_PCN_STEPS * len(killed))
         spread = min(1.0, spread * math.exp(2.0 * (rate - _PCN_TARGET_ACCEPT)))
-    a = rng.standard_normal((n + 1, particles))
-    a[score_of.columns] = x
+    a = scanner.lift(x, rng.standard_normal((n + 1, particles)))
     persistent = _decide(scanner, a, *scanner.classify(a))
     successes = int(np.count_nonzero(persistent))
     p = math.exp(log_weight) * successes / particles
@@ -583,7 +666,7 @@ def estimate_persistence_splitting(
     if workers == 1:
         results = [_splitting_worker(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _pool(workers) as pool:
             results = list(pool.map(_splitting_worker, tasks))
     return SplittingEstimate.from_replicates(
         [r[0] for r in results],

@@ -54,6 +54,8 @@ class PersistenceEstimate(_Interval):
     the log scale; log-based consumers should check `log_usable` first.
     `unresolved` counts the samples that neither the scan nor the exact
     fallback could decide; they are counted as failures (conservative).
+    `escalated` counts the samples the latent scan could not settle, which
+    were lifted to coefficient vectors and decided there.
     """
 
     successes: int
@@ -62,13 +64,21 @@ class PersistenceEstimate(_Interval):
     ci_low: float
     ci_high: float
     unresolved: int = 0
+    escalated: int = 0
 
     @classmethod
     def from_counts(
-        cls, successes: int, samples: int, level: float = 0.95, unresolved: int = 0
+        cls,
+        successes: int,
+        samples: int,
+        level: float = 0.95,
+        unresolved: int = 0,
+        escalated: int = 0,
     ) -> "PersistenceEstimate":
         lo, hi = wilson_ci(successes, samples, level)
-        return cls(successes, samples, successes / samples, lo, hi, unresolved)
+        return cls(
+            successes, samples, successes / samples, lo, hi, unresolved, escalated
+        )
 
     def log_usable(self, floor: int = 10) -> bool:
         return self.successes >= floor

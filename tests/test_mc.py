@@ -10,7 +10,6 @@ from persistlab.mc import (
     MAIN_INTERVAL,
     IntervalSpec,
     _SignScanner,
-    _SplittingScore,
     _splitting_replicate,
     auto_budget,
     autocorr_convergence_report,
@@ -222,18 +221,90 @@ def test_unresolved_samples_are_counted(monkeypatch):
     assert sum(r.unresolved for r in rows) > 0
 
 
-def test_splitting_score_is_min_of_padded_grid_values():
+@pytest.mark.parametrize(
+    "n, kind",
+    [
+        (24, "full"),
+        (144, "full"),
+        (16, "low"),
+        (100, "high"),
+        (36, "main"),
+        (2000, "low"),
+    ],
+)
+def test_latent_scan_agrees_with_classify_on_lifts(n, kind):
+    scanner = _SignScanner(n, IntervalSpec(kind))
+    rng = np.random.default_rng(n)
+    xi = rng.standard_normal((scanner.rank, 3000))
+    a = scanner.lift(xi, rng.standard_normal((n + 1, 3000)))
+    latent = scanner.scan(xi)
+    exact, u_pad = scanner.classify(a)
+    assert np.all(exact[latent == _SignScanner.REJECT] == _SignScanner.REJECT)
+    for j in np.flatnonzero(latent == _SignScanner.ACCEPT):
+        assert exact[j] == _SignScanner.ACCEPT or scanner.resolve(a[:, j], u_pad[:, j])
+    assert np.count_nonzero(latent == _SignScanner.REJECT) > 1000
+    if kind != "full" and n <= 100:  # p is far below 1/3000 at n = 2000
+        assert np.count_nonzero(latent == _SignScanner.ACCEPT) > 0
+
+    # the padded rows in tau units, rebuilt from the cached weights
+    padded = [scanner._w / scanner.tau[:, None]]
+    if scanner.left_limit:
+        padded.insert(0, (scanner.columns == 0)[None, :] / mc._NOISE_REL)
+    if scanner.right_limit:
+        padded.append((scanner.columns == n)[None, :] / mc._NOISE_REL)
+    padded = np.vstack(padded)
+    reach = math.sqrt(n + 1) + 10.0
+    residual = np.linalg.norm(padded - scanner._g @ scanner._v, axis=1) * reach
+    assert np.all(residual <= mc._MARGIN_MAX)
+    np.testing.assert_allclose(scanner.margin, residual + mc._FLOAT_SLACK, rtol=1e-9)
+    # on actual lifts the latent values miss the padded values by < margin
+    gap = np.abs(padded @ a[scanner.columns] - scanner._g @ xi)
+    assert np.all(gap <= scanner.margin[:, None])
+
+    # the lift is exactly N(0, I) because V has orthonormal rows, and it
+    # returns any coefficient vector from its own latent coordinates
+    np.testing.assert_allclose(
+        scanner._v @ scanner._v.T, np.eye(scanner.rank), atol=1e-12
+    )
+    back = scanner.lift(scanner._v @ a[scanner.columns], a)
+    np.testing.assert_allclose(back, a, rtol=0, atol=1e-12)
+
+
+def test_latent_rank_is_low_where_the_grid_is_smooth():
+    assert _SignScanner(144, FULL_AXIS).rank < 100
+    assert _SignScanner(2000, LOW_INTERVAL).rank < 150
+    # at n = 2000 the low interval's weights underflow for high-index columns
+    assert len(_SignScanner(2000, LOW_INTERVAL).columns) < 2001
+
+
+def test_escalations_are_counted():
+    one = estimate_persistence(36, MAIN_INTERVAL, 20_000, seed=2)
+    two = estimate_persistence(36, MAIN_INTERVAL, 20_000, seed=2, workers=2)
+    for est in (one, two):
+        assert 0 < est.escalated < est.samples // 10
+    full = estimate_persistence(24, FULL_AXIS, 20_000, seed=2)
+    assert full.escalated >= full.successes
+
+
+def test_scanner_refuses_oversized_weight_rows():
+    with pytest.raises(ValueError):
+        _SignScanner(100_000, FULL_AXIS)
+
+
+def test_splitting_score_bounds_padded_grid_minimum():
+    # the score is min_j (latent u_j + margin_j), an upper bound on the exact
+    # minimum of u_pad; each latent u_j is itself within one margin of the
+    # exact value, so the bound is loose by at most two margins
     rng = np.random.default_rng(61)
     for n, interval in ((36, LOW_INTERVAL), (36, HIGH_INTERVAL), (2000, LOW_INTERVAL)):
         scanner = _SignScanner(n, interval)
-        score_of = _SplittingScore(scanner)
         a = rng.standard_normal((n + 1, 50))
         _, u_pad = scanner.classify(a)
-        expected = u_pad.min(axis=0)
-        got = score_of(a[score_of.columns])
-        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
-    # at n = 2000 the low interval's weights underflow for high-index columns
-    assert len(_SplittingScore(_SignScanner(2000, LOW_INTERVAL)).columns) < 2001
+        exact = u_pad.min(axis=0)
+        got = scanner.score(scanner._v @ a[scanner.columns])
+        slack = 2.0 * (scanner.margin * scanner.u_scale).max()
+        assert np.all(exact <= got + 1e-12)
+        assert np.all(got <= exact + slack + 1e-12)
 
 
 def test_splitting_final_stage_uses_scanner_verdicts():
