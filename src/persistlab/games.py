@@ -5,24 +5,23 @@ An internal rest point of the replicator dynamics at population fraction
 y in (0, 1) satisfies equal average payoffs; under x = y / (1 - y) that is a
 positive root of sum_k (a_k - b_k) C(n-1, k) x^k, which the exact counter
 from `roots` decides with no floating error.
+
+With i.i.d. standard normal payoff differences that polynomial is the
+persistence family of `mc` at degree players - 1, so the no-equilibrium
+rate is estimated on mc's latent sign scan: games whose polynomial
+certifiably changes sign on the grid are rejected there, and only the
+others are lifted to payoff differences and decided exactly.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
-from .roots import (
-    DyadicPolynomial,
-    count_positive_roots,
-    locate_positive_roots,
-    no_positive_roots,
-)
+from .mc import FULL_AXIS, _DEFAULT_BATCH, _SignScanner, _partition, _pool
+from .polys import BinomialPolynomial
+from .roots import DyadicPolynomial, locate_positive_roots, no_positive_roots
 from .stats import PersistenceEstimate
 
 __all__ = [
@@ -113,10 +112,8 @@ def replicator_rhs(game: GamePayoffs, y: float) -> float:
 
 def equilibrium_polynomial(game: GamePayoffs) -> DyadicPolynomial:
     """sum_k (a_k - b_k) C(players-1, k) x^k with exact dyadic coefficients."""
-    m = game.players - 1
-    beta = game.beta
-    return DyadicPolynomial(
-        tuple(Fraction(float(beta[k])) * math.comb(m, k) for k in range(m + 1))
+    return DyadicPolynomial.from_binomial(
+        BinomialPolynomial(game.players - 1, game.beta)
     )
 
 
@@ -148,21 +145,42 @@ def internal_equilibria(game: GamePayoffs, tol: float = 1e-12) -> EquilibriumSet
     return EquilibriumSet(ys, len(ys), degenerate=False)
 
 
-def _no_equilibria_worker(task) -> int:
+def _no_positive_root(n: int, a: np.ndarray) -> np.ndarray:
+    """Exact per-column verdict of {no positive root} for payoff differences
+    a (n+1, B): columns whose coefficients are all nonzero and of one sign
+    have none (Descartes' rule of signs), the rest go to the exact check.  A
+    degenerate all-zero difference makes every mixture a rest point, so it
+    does not belong to the no-equilibrium event."""
+    none = (a > 0.0).all(axis=0) | (a < 0.0).all(axis=0)
+    for j in np.flatnonzero(~none):
+        q = DyadicPolynomial.from_binomial(BinomialPolynomial(n, a[:, j]))
+        none[j] = (not q.is_zero()) and no_positive_roots(q)
+    return none
+
+
+def _no_equilibria_worker(task) -> tuple[int, int]:
+    """(games with no internal equilibrium, lifted games) of one worker's
+    share: the scanner's latent sign-change rule rejects games with a
+    certain root, the rest are lifted to payoff differences and decided
+    exactly by _no_positive_root."""
     players, child_ss, count = task
     rng = np.random.default_rng(child_ss)
-    m = players - 1
-    weights = [math.comb(m, k) for k in range(m + 1)]
-    zero_count = 0
-    for _ in range(count):
-        beta = rng.standard_normal(m + 1)
-        q = DyadicPolynomial(
-            tuple(Fraction(float(beta[k])) * weights[k] for k in range(m + 1))
-        )
-        # a degenerate all-zero difference makes every mixture a rest point,
-        # so it does not belong to the no-equilibrium event
-        zero_count += (not q.is_zero()) and no_positive_roots(q)
-    return zero_count
+    n = players - 1
+    scanner = _SignScanner(n, FULL_AXIS)
+    none = 0
+    escalated = 0
+    remaining = count
+    while remaining > 0:
+        b = min(_DEFAULT_BATCH, remaining)
+        remaining -= b
+        xi = rng.standard_normal((scanner.rank, b))
+        lifted = np.flatnonzero(~scanner.sign_change(xi))
+        if len(lifted):
+            z = rng.standard_normal((n + 1, len(lifted)))
+            a = scanner.lift(xi[:, lifted], z)
+            none += int(np.count_nonzero(_no_positive_root(n, a)))
+            escalated += len(lifted)
+    return none, escalated
 
 
 def prob_no_internal_equilibria(
@@ -170,41 +188,39 @@ def prob_no_internal_equilibria(
     samples: int,
     seed=0,
     workers: int = 1,
-    beta_sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None,
     level: float = 0.95,
 ) -> PersistenceEstimate:
     """Fraction of random games with no internal equilibrium.
 
-    Payoff differences are i.i.d. standard normal (the built-in model); a
-    custom `beta_sampler(rng, size) -> differences` hook is accepted for
-    experimentation but none others ship.  Per sample the event is exactly
-    {zero positive roots of the associated polynomial}.
+    Payoff differences are i.i.d. standard normal; per game the event is
+    {no positive root of the associated polynomial}, which is the
+    persistence polynomial family at n = players - 1.  A game is rejected in
+    the scanner's latent space when its polynomial certifiably takes both
+    signs (wrong with probability below e^-50 per game); every other game
+    is lifted to exactly standard normal differences and decided exactly.
+    The estimate's `escalated` counts the lifted games.  Deterministic
+    given (seed, workers).
     """
     if players < 2:
         raise ValueError("need at least 2 players")
     if samples < 1:
         raise ValueError("samples must be positive")
-    children = np.random.SeedSequence(seed).spawn(max(workers, 1))
-    counts = _partition_counts(samples, max(workers, 1))
-    if beta_sampler is not None:
-        # custom sampling runs inline; the hook is not assumed picklable
-        rng = np.random.default_rng(children[0])
-        zero_count = 0
-        for _ in range(samples):
-            beta = np.asarray(beta_sampler(rng, players), dtype=float)
-            game = GamePayoffs.from_differences(beta)
-            q = equilibrium_polynomial(game)
-            zero_count += (not q.is_zero()) and count_positive_roots(q).count == 0
-        return PersistenceEstimate.from_counts(zero_count, samples, level)
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    children = np.random.SeedSequence(seed).spawn(workers)
     tasks = [
-        (players, child, cnt) for child, cnt in zip(children, counts) if cnt > 0
+        (players, child, cnt)
+        for child, cnt in zip(children, _partition(samples, workers))
+        if cnt > 0
     ]
     if len(tasks) == 1:
         results = [_no_equilibria_worker(tasks[0])]
     else:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+        with _pool(len(tasks)) as pool:
             results = list(pool.map(_no_equilibria_worker, tasks))
-    return PersistenceEstimate.from_counts(sum(results), samples, level)
+    none = sum(r[0] for r in results)
+    escalated = sum(r[1] for r in results)
+    return PersistenceEstimate.from_counts(none, samples, level, escalated=escalated)
 
 
 def sample_records(
@@ -223,7 +239,3 @@ def sample_records(
         out.append((sample_id, eq.count, eq.internal))
     return out
 
-
-def _partition_counts(total: int, workers: int) -> list[int]:
-    base, rem = divmod(total, workers)
-    return [base + 1 if w < rem else base for w in range(workers)]

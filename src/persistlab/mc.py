@@ -174,6 +174,13 @@ class _SignScanner:
     thresholds move almost no sample.  The float floor of the factor, its
     full-rank residual on the same scale, is 190x below that bound at
     n = 144 (full axis) and 15x below at n = 10^4 (low interval).
+
+    On the same event, a latent sign change (sign_change: some row below
+    -(1 + margin_j) and some row above 1 + margin_k) puts one padded value
+    of the lift below -1 and another above 1, so the polynomial takes both
+    signs on the interval (a limit row gives the sign of a_0 at 0+ or of a_n
+    at infinity) and has a root there.  The rule reads no sign off a_0 in
+    advance, so it holds even when a_0 lies within its own band.
     """
 
     REJECT = -1
@@ -317,6 +324,14 @@ class _SignScanner:
             ambig = (np.abs(y) <= band).any(axis=0)
             verdicts[cleared & ~negdef & ~ambig] = self.ACCEPT
         return verdicts
+
+    def sign_change(self, xi: np.ndarray) -> np.ndarray:
+        """Per latent column (rank, B): whether its lift certifiably takes
+        both signs on the interval, so has a root in it, up to probability
+        e^-50 per column.  The interval must not be degenerate."""
+        y = self._g @ xi
+        band = 1.0 + self.margin[:, None]
+        return (y < -band).any(axis=0) & (y > band).any(axis=0)
 
     def score(self, xi: np.ndarray) -> np.ndarray:
         """Upper bound on the minimum of classify()'s u_pad over the lifts of

@@ -14,7 +14,10 @@ from persistlab.games import (
     replicator_rhs,
     sample_records,
 )
-from persistlab.roots import count_positive_roots
+from persistlab.games import _no_positive_root
+from persistlab.mc import FULL_AXIS, _SignScanner, estimate_persistence
+from persistlab.polys import BinomialPolynomial
+from persistlab.roots import DyadicPolynomial, count_positive_roots
 
 
 def test_payoff_endpoints():
@@ -177,9 +180,66 @@ def test_sample_records():
     assert records == sample_records(4, 50, seed=9)  # deterministic
 
 
-def test_custom_sampler_hook():
-    # an all-positive sampler never produces an internal equilibrium
-    est = prob_no_internal_equilibria(
-        3, 1000, seed=1, beta_sampler=lambda rng, k: np.abs(rng.standard_normal(k))
-    )
-    assert est.p_hat == 1.0
+def test_prob_rejects_nonpositive_workers():
+    with pytest.raises(ValueError, match="workers must be positive"):
+        prob_no_internal_equilibria(3, 100, workers=0)
+
+
+def test_prob_counts_lifted_games_over_workers():
+    # every game without an equilibrium was lifted, and more workers than
+    # games leaves the spare workers idle
+    est = prob_no_internal_equilibria(5, 3000, seed=2, workers=2)
+    assert est.successes <= est.escalated <= est.samples
+    one = prob_no_internal_equilibria(4, 1, seed=2, workers=2)
+    assert one.samples == 1
+
+
+def test_prob_refuses_oversized_games():
+    with pytest.raises(ValueError, match="exceed"):
+        prob_no_internal_equilibria(20_000, 1)
+
+
+def _root_count(n, coeffs):
+    return count_positive_roots(
+        DyadicPolynomial.from_binomial(BinomialPolynomial(n, coeffs))
+    ).count
+
+
+@pytest.mark.parametrize(
+    "players, draws, checked",
+    [(2, 2000, 2000), (3, 2000, 2000), (5, 2000, 2000), (11, 2000, 400), (51, 50_000, 8)],
+)
+def test_latent_rejects_and_exact_verdicts_match_root_counts(players, draws, checked):
+    # the exact root count of each lift is the oracle for the latent
+    # sign-change reject, the same-sign accept and the exact path alike;
+    # `checked` caps the oracle calls per kind, which cost 0.25 s at degree 50
+    n = players - 1
+    scanner = _SignScanner(n, FULL_AXIS)
+    rng = np.random.default_rng(700 + players)
+    xi = rng.standard_normal((scanner.rank, draws))
+    a = scanner.lift(xi, rng.standard_normal((n + 1, draws)))
+    rejected = scanner.sign_change(xi)
+    same_sign = (a > 0).all(axis=0) | (a < 0).all(axis=0)
+    kinds = [rejected, ~rejected & same_sign, ~rejected & ~same_sign]
+    chosen = np.concatenate([np.flatnonzero(k)[:checked] for k in kinds])
+    verdict = _no_positive_root(n, a[:, chosen])
+    for j, none in zip(chosen, verdict):
+        count = _root_count(n, a[:, j])
+        assert none == (count == 0)
+        if rejected[j]:
+            assert count >= 1
+        if same_sign[j]:
+            assert none
+    # at players = 2 the exact path is all but empty: a line whose two
+    # coefficients differ in sign changes sign certifiably unless one of
+    # them lies within 1e-10 of zero
+    assert np.any(rejected) and (players == 2 or np.any(kinds[2]))
+
+
+@pytest.mark.parametrize("players, samples", [(11, 40_000), (51, 200_000)])
+def test_prob_matches_twice_full_axis_persistence(players, samples):
+    # f and -f have the same law, so P(no positive root) = 2 P(f > 0 on the
+    # positive axis)
+    games = prob_no_internal_equilibria(players, samples, seed=players)
+    mc = estimate_persistence(players - 1, FULL_AXIS, samples, seed=players)
+    assert games.ci_low <= 2 * mc.ci_high and 2 * mc.ci_low <= games.ci_high
