@@ -5,6 +5,17 @@ untruncated covariance is exactly exp(-(t-u)^2 / (2 s^2)), and a dense
 covariance factorization used as a cross-check.  On top of them: survival
 probability estimates P(min over the grid > 0) and the exponential-decay fit
 extracting the persistence exponent b from log p(T) ~ -b T.
+
+The series is sampled in a latent space.  Its design matrix Phi (grid x
+K + 1) is numerically low-rank, so each call factors it once by SVD,
+Phi = U S V^T, and keeps G = U_r S_r with r the smallest rank whose every
+row residual variance |E_j|^2 is at most SERIES_TAIL_TOL = 1e-12 (see
+latent_factor, which mc's sign scanner shares).  A path is G xi with
+xi ~ N(0, I_r); its covariance G G^T misses Phi Phi^T by at most
+|E_i| |E_j| <= 1e-12 per entry, the order of the truncation error the series
+already accepts.  At grid step 0.25, r runs from 10 (T = 3, K + 1 = 27) to
+26 (T = 12, K + 1 = 140; the grid has 49 points), and is 105 at T = 60
+(K + 1 = 2107); halving the step barely moves it (26 at T = 12).
 """
 
 from __future__ import annotations
@@ -22,14 +33,12 @@ __all__ = [
     "GaussianKernel",
     "DEFAULT_KERNEL",
     "HALF_TIME_KERNEL",
-    "PathGrid",
     "FactorizationError",
     "SERIES_TAIL_TOL",
     "series_tail_bound",
+    "latent_factor",
     "required_truncation",
-    "sample_path_series",
     "sample_paths_series",
-    "sample_path_factor",
     "sample_paths_factor",
     "cholesky_with_escalation",
     "estimate_survival",
@@ -71,25 +80,6 @@ def grid_times(horizon: float, step: float) -> np.ndarray:
         raise ValueError("horizon and step must be positive")
     npts = int(math.floor(horizon / step + 1e-9)) + 1
     return step * np.arange(npts)
-
-
-@dataclass(frozen=True)
-class PathGrid:
-    """One sampled path on the grid 0, step, ..., floor(horizon/step)*step."""
-
-    horizon: float
-    step: float
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        expected = int(math.floor(self.horizon / self.step + 1e-9)) + 1
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.shape != (expected,):
-            raise ValueError(
-                f"grid of horizon {self.horizon} and step {self.step} needs "
-                f"{expected} values, got shape {values.shape}"
-            )
 
 
 class FactorizationError(RuntimeError):
@@ -141,6 +131,42 @@ def _design_matrix(
     return phi
 
 
+def latent_factor(
+    matrix: np.ndarray, bound: float, reach: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-r factor (G, V) = (U_r S_r, V_r^T) of one SVD matrix = U S V^T.
+
+    r is the smallest rank with every row residual |E_j| of matrix - G V
+    (times reach) at most bound, read off the tail energies of U S.  Paths
+    G xi with xi ~ N(0, I_r) have covariance G G^T, which differs from
+    matrix matrix^T by E E^T, at most |E_i| |E_j| per entry.
+    """
+    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+    us = u * s
+    # tail[j, k] = |row j of the rank-k residual|^2; it falls with k, so
+    # the smallest admissible rank is the number of ranks that fail
+    tail = np.cumsum((us * us)[:, ::-1], axis=1)[:, ::-1]
+    rank = int(np.count_nonzero(np.sqrt(tail.max(axis=0)) * reach > bound))
+    return np.ascontiguousarray(us[:, :rank]), vt[:rank].copy()
+
+
+def _series_factor(
+    kernel: GaussianKernel, horizon: float, step: float, truncation: int
+) -> np.ndarray:
+    """Latent factor G (grid x r) of the truncated series on the grid: every
+    row residual variance of the design matrix is at most SERIES_TAIL_TOL,
+    the same bound the truncation meets."""
+    tail = series_tail_bound(kernel, horizon, truncation)
+    if tail >= SERIES_TAIL_TOL:
+        raise ValueError(
+            f"truncation {truncation} leaves tail variance {tail:.3e} "
+            f">= {SERIES_TAIL_TOL} at horizon {horizon}"
+        )
+    phi = _design_matrix(kernel, grid_times(horizon, step), truncation)
+    g, _ = latent_factor(phi, math.sqrt(SERIES_TAIL_TOL))
+    return g
+
+
 def sample_paths_series(
     kernel: GaussianKernel,
     horizon: float,
@@ -153,29 +179,13 @@ def sample_paths_series(
 
     Z(t) = e^(-t^2/(2 s^2)) sum_{k<=K} xi_k (t/s)^k / sqrt(k!) with i.i.d.
     standard normal xi_k; the untruncated series has covariance exactly
-    exp(-(t-u)^2/(2 s^2)).  K must satisfy the 1e-12 tail bound.
+    exp(-(t-u)^2/(2 s^2)).  K must satisfy the 1e-12 tail bound.  The paths
+    are drawn as G xi with the latent factor of the grid's design matrix
+    (see the module docstring).
     """
-    tail = series_tail_bound(kernel, horizon, truncation)
-    if tail >= SERIES_TAIL_TOL:
-        raise ValueError(
-            f"truncation {truncation} leaves tail variance {tail:.3e} "
-            f">= {SERIES_TAIL_TOL} at horizon {horizon}"
-        )
-    times = grid_times(horizon, step)
-    phi = _design_matrix(kernel, times, truncation)
-    xi = rng.standard_normal((truncation + 1, n_paths))
-    return (phi @ xi).T
-
-
-def sample_path_series(
-    kernel: GaussianKernel,
-    horizon: float,
-    step: float,
-    truncation: int,
-    rng: np.random.Generator,
-) -> PathGrid:
-    values = sample_paths_series(kernel, horizon, step, truncation, rng, 1)[0]
-    return PathGrid(horizon, step, values)
+    g = _series_factor(kernel, horizon, step, truncation)
+    xi = rng.standard_normal((g.shape[1], n_paths))
+    return (g @ xi).T
 
 
 def _cholesky(kernel: GaussianKernel, times: np.ndarray, jitter: float) -> np.ndarray:
@@ -225,17 +235,6 @@ def sample_paths_factor(
     return (chol @ z).T
 
 
-def sample_path_factor(
-    kernel: GaussianKernel,
-    horizon: float,
-    step: float,
-    jitter: float,
-    rng: np.random.Generator,
-) -> PathGrid:
-    values = sample_paths_factor(kernel, horizon, step, jitter, rng, 1)[0]
-    return PathGrid(horizon, step, values)
-
-
 def estimate_survival(
     kernel: GaussianKernel,
     horizon: float,
@@ -261,28 +260,19 @@ def estimate_survival(
     if method not in ("series", "factor"):
         raise ValueError(f"unknown method {method!r}")
     rng = np.random.default_rng(rng)
-    times = grid_times(horizon, step)
     if method == "series":
         if truncation is None:
             truncation = required_truncation(kernel, horizon)
-        tail = series_tail_bound(kernel, horizon, truncation)
-        if tail >= SERIES_TAIL_TOL:
-            raise ValueError(
-                f"truncation {truncation} leaves tail variance {tail:.3e}"
-            )
-        phi = _design_matrix(kernel, times, truncation)
-        draw_rows = truncation + 1
-        factor = phi
+        factor = _series_factor(kernel, horizon, step, truncation)
     else:
-        factor, _ = cholesky_with_escalation(kernel, times, jitter)
-        draw_rows = len(times)
+        factor, _ = cholesky_with_escalation(kernel, grid_times(horizon, step), jitter)
 
     successes = 0
     remaining = samples
     while remaining > 0:
         b = min(block, remaining)
         remaining -= b
-        z = rng.standard_normal((draw_rows, b))
+        z = rng.standard_normal((factor.shape[1], b))
         paths = factor @ z  # (grid, b)
         successes += int(np.count_nonzero(paths.min(axis=0) > 0.0))
     return PersistenceEstimate.from_counts(successes, samples, level)

@@ -21,7 +21,6 @@ from .logscale import SignedLogValue, log_binomial, log_binomial_row
 
 __all__ = [
     "PeakIndex",
-    "TimePoint",
     "mn_exact",
     "mn_asymptotic",
     "mn_peak_bounds",
@@ -55,31 +54,6 @@ class PeakIndex:
         if not (x > 0.0 and math.isfinite(x)):
             raise ValueError(f"x must be positive and finite, got {x!r}")
         return cls(n, x, int(math.floor(n * x / (x + 1.0))))
-
-
-@dataclass(frozen=True)
-class TimePoint:
-    """A point of the transformed time axis; 0 < t < pi sqrt(n) maps
-    bijectively onto evaluation points x in (0, inf)."""
-
-    t: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if not 0.0 < self.t < math.pi * math.sqrt(self.n):
-            raise ValueError(
-                f"t={self.t!r} outside (0, pi sqrt(n)) for n={self.n}"
-            )
-
-    @property
-    def x(self) -> float:
-        return transform_x(self.t, self.n)
-
-    @classmethod
-    def from_x(cls, x: float, n: int) -> "TimePoint":
-        return cls(transform_t(x, n), n)
 
 
 @lru_cache(maxsize=1024)

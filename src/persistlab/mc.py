@@ -47,6 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .gp import latent_factor
 from .kernel import (
     alpha_shift,
     autocorr_limit_gap,
@@ -261,16 +262,9 @@ class _SignScanner:
             scale.append(limit_tau)
         padded = np.vstack(rows)
         self.u_scale = np.concatenate(scale)
-        u, s, vt = np.linalg.svd(padded, full_matrices=False)
-        us = u * s
-        # tail[j, k] = |row j of the rank-k residual|^2; it falls with k, so
-        # the smallest admissible rank is the number of ranks that fail
-        tail = np.cumsum((us * us)[:, ::-1], axis=1)[:, ::-1]
         reach = math.sqrt(self.n + 1) + 10.0
-        worst = np.sqrt(tail.max(axis=0)) * reach
-        self.rank = int(np.count_nonzero(worst > _MARGIN_MAX))
-        self._g = np.ascontiguousarray(us[:, : self.rank])
-        self._v = vt[: self.rank].copy()
+        self._g, self._v = latent_factor(padded, _MARGIN_MAX, reach)
+        self.rank = self._g.shape[1]
         residual = padded - self._g @ self._v
         self.margin = np.linalg.norm(residual, axis=1) * reach + _FLOAT_SLACK
 

@@ -242,16 +242,25 @@ def build_chain(p: DyadicPolynomial) -> SturmChain:
     return SturmChain(tuple(tuple(c) for c in chain))
 
 
+def _squarefree_quotient(p: DyadicPolynomial, chain: SturmChain) -> list[int] | None:
+    """Integer coefficients of p / gcd(p, p'), the gcd read off p's chain;
+    None when p is already squarefree (its chain ends at a constant)."""
+    last = chain.elements[-1]
+    if len(last) <= 1:
+        return None
+    gcd = _primitive(list(last))
+    if gcd[-1] < 0:
+        gcd = [-v for v in gcd]
+    return _exact_div(_primitive(list(p.scaled_integers())), gcd)
+
+
 def _squarefree_chain(p: DyadicPolynomial) -> SturmChain:
     """Chain of the squarefree part of p; reuses p's own chain when p is
     already squarefree (the common case), which halves the chain work."""
     chain = build_chain(p)
-    if len(chain.elements[-1]) <= 1:
+    quotient = _squarefree_quotient(p, chain)
+    if quotient is None:
         return chain
-    gcd = _primitive(list(chain.elements[-1]))
-    if gcd[-1] < 0:
-        gcd = [-v for v in gcd]
-    quotient = _exact_div(_primitive(list(p.scaled_integers())), gcd)
     return SturmChain(
         tuple(tuple(c) for c in _signed_remainder_chain(_primitive(quotient)))
     )
@@ -259,14 +268,9 @@ def _squarefree_chain(p: DyadicPolynomial) -> SturmChain:
 
 def squarefree_part(p: DyadicPolynomial) -> DyadicPolynomial:
     """p divided by gcd(p, p'): same distinct roots, all simple."""
-    chain = build_chain(p)
-    last = chain.elements[-1]
-    if len(last) <= 1:
+    quotient = _squarefree_quotient(p, build_chain(p))
+    if quotient is None:
         return p
-    gcd = _primitive(list(last))
-    if gcd[-1] < 0:
-        gcd = [-v for v in gcd]
-    quotient = _exact_div(_primitive(list(p.scaled_integers())), gcd)
     return DyadicPolynomial(tuple(Fraction(v) for v in quotient))
 
 

@@ -12,11 +12,13 @@ from persistlab.gp import (
     cholesky_with_escalation,
     estimate_exponent,
     estimate_survival,
+    SERIES_TAIL_TOL,
+    _design_matrix,
+    _series_factor,
     fit_exponent,
     grid_times,
+    latent_factor,
     required_truncation,
-    sample_path_factor,
-    sample_path_series,
     sample_paths_factor,
     sample_paths_series,
     series_tail_bound,
@@ -59,9 +61,9 @@ def test_series_rejects_insufficient_truncation():
 
 
 def test_series_deterministic():
-    a = sample_path_series(DEFAULT_KERNEL, 4.0, 0.25, 60, np.random.default_rng(9))
-    b = sample_path_series(DEFAULT_KERNEL, 4.0, 0.25, 60, np.random.default_rng(9))
-    assert np.array_equal(a.values, b.values)
+    a = sample_paths_series(DEFAULT_KERNEL, 4.0, 0.25, 60, np.random.default_rng(9), 1)
+    b = sample_paths_series(DEFAULT_KERNEL, 4.0, 0.25, 60, np.random.default_rng(9), 1)
+    assert np.array_equal(a, b)
 
 
 def test_series_covariance_matches_kernel():
@@ -86,6 +88,31 @@ def test_series_covariance_matches_kernel():
         assert abs(products.mean() - truncated) < 4 * se
 
 
+LATENT_CASES = [(float(t), step) for step in (0.25, 0.125) for t in range(3, 13)] + [
+    (60.0, 0.25)
+]
+
+
+@pytest.mark.parametrize("horizon,step", LATENT_CASES)
+def test_latent_series_factor(horizon, step):
+    # the sampler's factor G leaves every design-matrix row a residual
+    # variance within SERIES_TAIL_TOL, so G G^T misses Phi Phi^T by at most
+    # |E_i| |E_j| <= 1e-12 per entry, with far fewer columns than Phi
+    kernel = DEFAULT_KERNEL
+    K = required_truncation(kernel, horizon)
+    phi = _design_matrix(kernel, grid_times(horizon, step), K)
+    g = _series_factor(kernel, horizon, step, K)
+    g_again, v = latent_factor(phi, math.sqrt(SERIES_TAIL_TOL))
+    assert np.array_equal(g, g_again)
+    residual = np.square(phi - g @ v).sum(axis=1)
+    assert residual.max() <= SERIES_TAIL_TOL
+    assert np.abs(g @ g.T - phi @ phi.T).max() <= 1.1e-12
+    rank = g.shape[1]
+    assert rank < K + 1 and rank < len(phi)
+    if horizon == 12.0:
+        assert rank == 26
+
+
 def test_series_unit_variance():
     rng = np.random.default_rng(77)
     K = required_truncation(DEFAULT_KERNEL, 4.0)
@@ -96,10 +123,10 @@ def test_series_unit_variance():
 
 def test_factor_single_point_is_standard_normal_draw():
     rng = np.random.default_rng(5)
-    path = sample_path_factor(DEFAULT_KERNEL, 0.1, 0.25, 1e-12, rng)
+    path = sample_paths_factor(DEFAULT_KERNEL, 0.1, 0.25, 1e-12, rng, 1)[0]
     z = np.random.default_rng(5).standard_normal((1, 1))[0, 0]
-    assert len(path.values) == 1
-    assert path.values[0] == pytest.approx(z * math.sqrt(1 + 1e-12), rel=1e-9)
+    assert len(path) == 1
+    assert path[0] == pytest.approx(z * math.sqrt(1 + 1e-12), rel=1e-9)
 
 
 def test_factor_covariance_lag_one():
@@ -151,9 +178,14 @@ def test_survival_step_halving_consistent():
 
 
 def test_survival_series_factor_agree():
-    a = estimate_survival(DEFAULT_KERNEL, 5.0, 0.25, 60_000, 31, method="series")
-    b = estimate_survival(DEFAULT_KERNEL, 5.0, 0.25, 60_000, 32, method="factor")
-    assert a.overlaps(b)
+    for horizon, seed in ((5.0, 31), (8.0, 33), (12.0, 35)):
+        a = estimate_survival(
+            DEFAULT_KERNEL, horizon, 0.25, 60_000, seed, method="series"
+        )
+        b = estimate_survival(
+            DEFAULT_KERNEL, horizon, 0.25, 60_000, seed + 1, method="factor"
+        )
+        assert a.overlaps(b), horizon
 
 
 def test_survival_deterministic():

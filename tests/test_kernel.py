@@ -5,7 +5,6 @@ import pytest
 
 from persistlab.kernel import (
     PeakIndex,
-    TimePoint,
     alpha_shift,
     autocorr,
     autocorr_limit_gap,
@@ -222,14 +221,6 @@ def test_alpha_shift_value():
         2000.0 * math.atan(10 ** (-0.5)), rel=1e-15
     )
     assert alpha_shift(10**6) == pytest.approx(612.5547, abs=1e-3)
-
-
-def test_time_point():
-    tp = TimePoint.from_x(1.0, 4)
-    assert tp.t == pytest.approx(math.pi)
-    assert tp.x == pytest.approx(1.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        TimePoint(7.0, 4)  # beyond pi*sqrt(4)
 
 
 # --- limit gap diagnostics ---
