@@ -155,7 +155,12 @@ def _series_factor(
 ) -> np.ndarray:
     """Latent factor G (grid x r) of the truncated series on the grid: every
     row residual variance of the design matrix is at most SERIES_TAIL_TOL,
-    the same bound the truncation meets."""
+    the same bound the truncation meets.
+
+    Singular vectors are unique only up to sign, and LAPACK drivers differ in
+    the sign they return (gesdd and gesvd disagree on columns of G at T = 8
+    and 12), so each column is flipped to make its largest-magnitude entry
+    positive: paths at a fixed seed then do not depend on the LAPACK build."""
     tail = series_tail_bound(kernel, horizon, truncation)
     if tail >= SERIES_TAIL_TOL:
         raise ValueError(
@@ -164,7 +169,8 @@ def _series_factor(
         )
     phi = _design_matrix(kernel, grid_times(horizon, step), truncation)
     g, _ = latent_factor(phi, math.sqrt(SERIES_TAIL_TOL))
-    return g
+    peak = g[np.abs(g).argmax(axis=0), np.arange(g.shape[1])]
+    return g * np.sign(peak)
 
 
 def sample_paths_series(

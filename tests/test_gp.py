@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from persistlab.gp import (
     DEFAULT_KERNEL,
@@ -103,14 +104,34 @@ def test_latent_series_factor(horizon, step):
     phi = _design_matrix(kernel, grid_times(horizon, step), K)
     g = _series_factor(kernel, horizon, step, K)
     g_again, v = latent_factor(phi, math.sqrt(SERIES_TAIL_TOL))
-    assert np.array_equal(g, g_again)
-    residual = np.square(phi - g @ v).sum(axis=1)
+    assert np.array_equal(np.abs(g), np.abs(g_again))
+    residual = np.square(phi - g_again @ v).sum(axis=1)
     assert residual.max() <= SERIES_TAIL_TOL
     assert np.abs(g @ g.T - phi @ phi.T).max() <= 1.1e-12
     rank = g.shape[1]
     assert rank < K + 1 and rank < len(phi)
     if horizon == 12.0:
         assert rank == 26
+
+
+@pytest.mark.parametrize("horizon", [8.0, 12.0])
+def test_series_factor_sign_is_canonical(horizon, monkeypatch):
+    # LAPACK's gesdd (numpy's svd) and gesvd return some singular vectors
+    # with opposite signs at these horizons; the sampler's G must not follow
+    K = required_truncation(DEFAULT_KERNEL, horizon)
+    g = _series_factor(DEFAULT_KERNEL, horizon, 0.25, K)
+    peaks = g[np.abs(g).argmax(axis=0), np.arange(g.shape[1])]
+    assert (peaks > 0).all()
+    monkeypatch.setattr(
+        np.linalg,
+        "svd",
+        lambda a, full_matrices=True: scipy.linalg.svd(
+            a, full_matrices=full_matrices, lapack_driver="gesvd"
+        ),
+    )
+    g_gesvd = _series_factor(DEFAULT_KERNEL, horizon, 0.25, K)
+    assert g_gesvd.shape == g.shape
+    assert np.allclose(g_gesvd, g, rtol=0.0, atol=1e-9)
 
 
 def test_series_unit_variance():
