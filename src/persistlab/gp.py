@@ -7,13 +7,15 @@ probability estimates P(min over the grid > 0) and the exponential-decay fit
 extracting the persistence exponent b from log p(T) ~ -b T.
 
 The series is sampled in a latent space.  Its design matrix Phi (grid x
-K + 1) is numerically low-rank, so each call factors it once by SVD,
-Phi = U S V^T, and keeps G = U_r S_r with r the smallest rank whose every
-row residual variance |E_j|^2 is at most SERIES_TAIL_TOL = 1e-12 (see
-latent_factor, which mc's sign scanner shares).  A path is G xi with
-xi ~ N(0, I_r); its covariance G G^T misses Phi Phi^T by at most
-|E_i| |E_j| <= 1e-12 per entry, the order of the truncation error the series
-already accepts.  At grid step 0.25, r runs from 10 (T = 3, K + 1 = 27) to
+K + 1) is numerically low-rank, so each call factors it once from its Gram
+matrix Phi Phi^T (one eigh, no SVD) into Phi ~ G V, with r = rank(G) the
+smallest rank whose every row residual variance |E_j|^2 is at most
+SERIES_TAIL_TOL = 1e-12 (see latent_factor, which mc's sign scanner
+shares).  Near the chosen rank its row tail energies agree with an SVD's
+to within 1e-15 (T = 3, 12 and 60), three decades below that bound.  A
+path is G xi with xi ~ N(0, I_r); its covariance G G^T misses Phi Phi^T by
+at most |E_i| |E_j| <= 1e-12 per entry, the order of the truncation error
+the series already accepts.  At grid step 0.25, r runs from 10 (T = 3, K + 1 = 27) to
 26 (T = 12, K + 1 = 140; the grid has 49 points), and is 105 at T = 60
 (K + 1 = 2107); halving the step barely moves it (26 at T = 12).
 """
@@ -49,6 +51,10 @@ __all__ = [
 
 SERIES_TAIL_TOL = 1e-12
 MAX_JITTER = 1e-8
+# relative gap below which two peak magnitudes of a factor column tie; far
+# above the ~1e-7 relative drift of the smallest kept columns between LAPACK
+# eigensolvers
+_PEAK_TIE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -134,20 +140,48 @@ def _design_matrix(
 def latent_factor(
     matrix: np.ndarray, bound: float, reach: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-r factor (G, V) = (U_r S_r, V_r^T) of one SVD matrix = U S V^T.
+    """Rank-r factor (G, V) of matrix from its Gram matrix, with matrix ~ G V.
 
-    r is the smallest rank with every row residual |E_j| of matrix - G V
-    (times reach) at most bound, read off the tail energies of U S.  Paths
-    G xi with xi ~ N(0, I_r) have covariance G G^T, which differs from
+    The Gram matrix matrix matrix^T = Q Lambda Q^T (one eigh) gives the
+    left singular vectors Q and squared singular values Lambda, so the
+    tail energies q_jk^2 lambda_k are the row residuals of every rank.  r is
+    the smallest rank with every row residual |E_j| of matrix - G V (times
+    reach) at most bound.  V0 = Lambda_r^(-1/2) Q_r^T matrix spans the top r
+    right singular vectors; one Cholesky-QR pass, V = chol(V0 V0^T)^(-1) V0,
+    makes its rows orthonormal to rounding, and G = matrix V^T, so the
+    residual E = matrix - G V satisfies E V^T = 0 to rounding.  Paths G xi
+    with xi ~ N(0, I_r) have covariance G G^T, which differs from
     matrix matrix^T by E E^T, at most |E_i| |E_j| per entry.
+
+    The Gram squares the spectrum: eigh resolves a row's tail energy only to
+    about 1e-16 times the largest eigenvalue, so a residual |E_j| is
+    resolved down to about 1e-8 of the largest singular value.  Both users
+    ask for far less (the series: |E_j|^2 <= 1e-12 on unit-variance rows;
+    the sign scanner: |E_j| <= 1e-4 / reach on unit rows).
+
+    Each column of G is flipped to make its largest-magnitude entry
+    positive (and the matching row of V with it): eigenvectors are unique
+    only up to sign and LAPACK drivers differ in the sign they return, so
+    without the flip paths at a fixed seed would depend on the LAPACK build.
+    Entries within _PEAK_TIE of the largest magnitude count as tied and the
+    first of them decides: on a grid symmetric about its centre (the series
+    grid, the full axis) some columns are antisymmetric, with two opposite
+    peaks that only rounding tells apart.
     """
-    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    us = u * s
+    lam, q = np.linalg.eigh(matrix @ matrix.T)
+    lam = np.maximum(lam[::-1], 0.0)
+    q = q[:, ::-1]
     # tail[j, k] = |row j of the rank-k residual|^2; it falls with k, so
     # the smallest admissible rank is the number of ranks that fail
-    tail = np.cumsum((us * us)[:, ::-1], axis=1)[:, ::-1]
+    tail = np.cumsum((q * q * lam)[:, ::-1], axis=1)[:, ::-1]
     rank = int(np.count_nonzero(np.sqrt(tail.max(axis=0)) * reach > bound))
-    return np.ascontiguousarray(us[:, :rank]), vt[:rank].copy()
+    v = (q[:, :rank] / np.sqrt(lam[:rank])).T @ matrix
+    v = np.linalg.inv(np.linalg.cholesky(v @ v.T)) @ v
+    g = matrix @ v.T
+    mag = np.abs(g)
+    peak = np.argmax(mag >= (1.0 - _PEAK_TIE) * mag.max(axis=0), axis=0)
+    sign = np.sign(g[peak, np.arange(rank)])
+    return g * sign, v * sign[:, None]
 
 
 def _series_factor(
@@ -155,12 +189,8 @@ def _series_factor(
 ) -> np.ndarray:
     """Latent factor G (grid x r) of the truncated series on the grid: every
     row residual variance of the design matrix is at most SERIES_TAIL_TOL,
-    the same bound the truncation meets.
-
-    Singular vectors are unique only up to sign, and LAPACK drivers differ in
-    the sign they return (gesdd and gesvd disagree on columns of G at T = 8
-    and 12), so each column is flipped to make its largest-magnitude entry
-    positive: paths at a fixed seed then do not depend on the LAPACK build."""
+    the same bound the truncation meets; columns carry latent_factor's
+    canonical sign."""
     tail = series_tail_bound(kernel, horizon, truncation)
     if tail >= SERIES_TAIL_TOL:
         raise ValueError(
@@ -168,9 +198,7 @@ def _series_factor(
             f">= {SERIES_TAIL_TOL} at horizon {horizon}"
         )
     phi = _design_matrix(kernel, grid_times(horizon, step), truncation)
-    g, _ = latent_factor(phi, math.sqrt(SERIES_TAIL_TOL))
-    peak = g[np.abs(g).argmax(axis=0), np.arange(g.shape[1])]
-    return g * np.sign(peak)
+    return latent_factor(phi, math.sqrt(SERIES_TAIL_TOL))[0]
 
 
 def sample_paths_series(

@@ -14,16 +14,19 @@ Per-sample decisions:
   in the estimate's `unresolved`).
 
 The scan runs in a latent space.  On the t-grid the normalized polynomial is
-close to a smooth stationary process (kernel e^(-tau^2/4)), so the grid
-weight matrix is numerically low-rank: each call factors it once by SVD and
-keeps rank r, r = 85 of 145 columns at n = 144 (full axis), 230 of 1001 at
-n = 1000 (full axis), 211 of 10001 at n = 10^4 (low interval).  A sample is
-then r normals xi, scanned through an r-column factor with thresholds widened
-by each row's residual margin; only the samples the scan cannot settle are
-lifted to an exactly N(0, I) coefficient vector and decided by the
-coefficient-space scan and the exact checks above.  A latent reject or
-accept can differ from the coefficient-space verdict only with probability
-below e^-50 per sample (see _SignScanner).
+close to a smooth stationary process (kernel e^(-tau^2/4)), so the Gram
+matrix of the normalized grid rows is close to that process's grid
+covariance, whose spectrum falls like e^(-w^2): each call factors the rows
+once from that Gram matrix (gp.latent_factor: one eigh, no SVD) and keeps
+rank r, r = 56 of 145 columns at n = 144 (full axis), 148 of 1001 at
+n = 1000 (full axis), 134 of the 2108 columns that carry weight at n = 10^4
+(low interval).  A sample is then r normals xi, scanned through an r-column
+factor with thresholds widened by each row's Gaussian residual margin; only
+the samples the scan cannot settle are lifted to an exactly N(0, I)
+coefficient vector and decided by the coefficient-space scan and the exact
+checks above.  A latent reject or accept differs from the coefficient-space
+verdict on the lift only with probability below e^-50 per sample (see
+_SignScanner).
 
 Rare events (p far below 1e-6, as on the edge intervals at n = 10^4) use
 adaptive multilevel splitting on the latent scan score with pCN moves
@@ -86,8 +89,9 @@ _DIP_GUARD = 12.0  # clearance in units of the conditional in-cell sd
 _REFINE_DEPTH = 6
 _EXACT_FALLBACK_MAX_DEGREE = 128
 _W_MAX_ELEMENTS = 15_000_000  # largest weight matrix a scanner builds
-_MARGIN_MAX = 0.1  # largest latent row residual margin, in units of the row's tau
-_FLOAT_SLACK = 1e-3  # tau units; the scan's and the lift's rounding is below 1e-4
+_MARGIN_U = 1e-4  # largest latent row residual margin, in normalized units
+_PRUNE_REL = 1e-16  # columns below this fraction of every row's peak weight drop
+_FLOAT_SLACK = 1e-3  # tau units; covers the rounding of the scan, the lift and E V^T
 _DEFAULT_BATCH = 4096
 
 
@@ -160,21 +164,36 @@ class _SignScanner:
     scan() gives the same verdicts from latent vectors xi ~ N(0, I_r).  The
     padded rows of classify() (limit rows first and last, each in units of
     its threshold tau, so -1 and 1 are the reject and ambiguity thresholds)
-    form the matrix W~ over the columns any row touches; its SVD truncated
-    to rank r gives W~ = G V + E, with G = U_r S_r and V = V_r^T.  A lifted
-    vector a (see lift) has V a[columns] = xi, so its padded values are
-    G xi + E a[columns], and |E_j a[columns]| <= |E_j| |a|.  The row margin
-    is margin_j = |E_j| (sqrt(n+1) + 10) plus _FLOAT_SLACK for rounding, so
-    the latent values miss the padded ones by more than margin_j only if
-    |a| > sqrt(n+1) + 10, which has probability below e^-50 (|a| is
-    1-Lipschitz in a with mean at most sqrt(n+1)).  Outside that event a
-    latent reject (some row below -(1 + margin_j)) is a classify() reject of
-    the lift, and a latent accept (every row clears kappa by margin_j and
+    form the matrix W~ over the kept columns.  gp.latent_factor factors W~
+    in normalized (u) units, where every row has unit norm, from its Gram
+    matrix: W~ = G V + E with orthonormal rows V and E V^T = 0 up to
+    rounding.  A lifted vector a (see lift) has a[columns] = z_c +
+    V^T (xi - V z_c), so its padded values are G xi + E_j a[columns] with
+    E_j a[columns] = E_j z_c, a N(0, |E_j|^2) draw independent of xi (of any
+    law of xi, so it holds for splitting's particles too).  The row margin
+    is margin_j = c |E_j| + _FLOAT_SLACK with c = sqrt(2 (50 + ln R)) over
+    the R padded rows (c = 10.5 at R = 152, 10.6 at R = 349), and a union
+    bound gives
+    P(some |E_j z_c| > c |E_j|) <= R e^(-c^2/2) = e^-50.  The rounding of
+    E V^T times |xi - V z_c| <= 2 sqrt(r) + 20 (outside a further e^-50
+    event for Gaussian xi) stays within half the slack, and the scan's and
+    the lift's rounding within the other half.  Outside these events a
+    latent reject (some row below -(1 + margin_j)) is a classify() reject
+    of the lift, and a latent accept (every row clears kappa by margin_j and
     none is within 1 + margin_j of zero) is a classify() accept.  r is the
-    smallest rank with every |E_j| (sqrt(n+1) + 10) <= 1/10, so the widened
-    thresholds move almost no sample.  The float floor of the factor, its
-    full-rank residual on the same scale, is 190x below that bound at
-    n = 144 (full axis) and 15x below at n = 10^4 (low interval).
+    smallest rank with every c |E_j| at most _MARGIN_U = 1e-4 in u units,
+    0.15% of the clearance kappa = 0.066, so the widened thresholds move
+    almost no sample.
+
+    Columns whose weight is below _PRUNE_REL = 1e-16 of the peak on every
+    row are dropped from classify() and the factor.  The dropped part D_j
+    of a row moves its value by |D_j a| <= 1e-16 max_j sqrt(n+1) |a|
+    against tau_j >= 1e-10 max_j.  Measured over n = 36 to 10^4 on all four
+    intervals, |D_j| (sqrt(n+1) + 10) is at most 1.9e-6 tau_j, so while
+    |a| <= sqrt(n+1) + 10 (probability 1 - e^-50) the dropped part stays far
+    inside the threshold's cushion and every classify() verdict holds for
+    the full row.  At n = 10^4 (low interval) 2108 of the 3383 columns with
+    a nonzero weight remain; the full axis drops none.
 
     On the same event, a latent sign change (sign_change: some row below
     -(1 + margin_j) and some row above 1 + margin_k) puts one padded value
@@ -238,9 +257,9 @@ class _SignScanner:
             self.inv_sd[j] = math.exp(m - 0.5 * mn_exact(n, float(x)).log_abs)
         self.tau = _NOISE_REL * w.sum(axis=1)  # noise scale from the row mass
         self.kappa = _clearance(step)
-        # the coefficients some row (or limit point) depends on; the weights of
-        # the others underflow to zero on every row
-        keep = (w != 0.0).any(axis=0)
+        # the coefficients some row (or limit point) depends on; the others
+        # weigh below _PRUNE_REL of the peak (1) on every row
+        keep = (w >= _PRUNE_REL).any(axis=0)
         keep[0] |= self.left_limit
         keep[-1] |= self.right_limit
         self.columns = np.flatnonzero(keep)
@@ -248,9 +267,10 @@ class _SignScanner:
         self._factor()
 
     def _factor(self) -> None:
-        """Rank-r factor of the padded rows in tau units (see the class
-        docstring): sets rank, the factor _g (padded rows x r), the lift
-        basis _v (r x columns), margin and u_scale (tau units to u units)."""
+        """Rank-r factor of the padded rows (see the class docstring): sets
+        rank, the factor _g (padded rows x r, tau units), the lift basis _v
+        (r x columns), margin (tau units) and u_scale (tau units to u
+        units).  The rows are factored in u units, where each has unit norm."""
         limit_tau = np.array([_NOISE_REL])  # a limit row's mass is 1
         rows = [self._w / self.tau[:, None]]
         scale = [self.tau * self.inv_sd]
@@ -262,11 +282,12 @@ class _SignScanner:
             scale.append(limit_tau)
         padded = np.vstack(rows)
         self.u_scale = np.concatenate(scale)
-        reach = math.sqrt(self.n + 1) + 10.0
-        self._g, self._v = latent_factor(padded, _MARGIN_MAX, reach)
+        c = math.sqrt(2.0 * (50.0 + math.log(len(padded))))
+        g, self._v = latent_factor(padded * self.u_scale[:, None], _MARGIN_U, c)
+        self._g = g / self.u_scale[:, None]
         self.rank = self._g.shape[1]
         residual = padded - self._g @ self._v
-        self.margin = np.linalg.norm(residual, axis=1) * reach + _FLOAT_SLACK
+        self.margin = c * np.linalg.norm(residual, axis=1) + _FLOAT_SLACK
 
     # -- batched classification --
 
@@ -308,15 +329,15 @@ class _SignScanner:
         (rank, B), up to probability e^-50 per column; ESCALATE columns have
         to be lifted and classified.  The interval must not be degenerate."""
         y = self._g @ xi
-        band = 1.0 + self.margin[:, None]
-        negdef = (y < -band).any(axis=0)
         verdicts = np.full(xi.shape[1], self.ESCALATE, dtype=np.int8)
-        verdicts[negdef] = self.REJECT
+        verdicts[(y < -1.0 - self.margin[:, None]).any(axis=0)] = self.REJECT
         if self.interval.kind != "full":
-            u_low = (y - self.margin[:, None]) * self.u_scale[:, None]
-            cleared = (np.minimum(u_low[:-1], u_low[1:]) >= self.kappa).all(axis=0)
-            ambig = (np.abs(y) <= band).any(axis=0)
-            verdicts[cleared & ~negdef & ~ambig] = self.ACCEPT
+            # a row at or above margin_j + kappa / u_scale_j clears kappa in
+            # u units, and kappa / u_scale_j >> 1 (u_scale_j is at most
+            # 1e-10 sqrt(n+1)) puts it far above its band 1 + margin_j, so a
+            # column with every row there is classify()'s accept
+            clear = self.margin + self.kappa / self.u_scale
+            verdicts[(y >= clear[:, None]).all(axis=0)] = self.ACCEPT
         return verdicts
 
     def sign_change(self, xi: np.ndarray) -> np.ndarray:
@@ -553,12 +574,14 @@ _PCN_TARGET_ACCEPT = 0.3
 
 @dataclass(frozen=True)
 class _Replicate:
-    """One splitting run: its estimate of p and diagnostics, plus the
+    """One splitting run: its estimate of p and diagnostics (accept is the
+    share of proposed pCN moves accepted, 0 when it made none), plus the
     final-level particles lifted to coefficients and the verdicts the final
     stage gave them (no particles when the interval is degenerate)."""
 
     p: float
     levels: int
+    accept: float
     successes: int
     unresolved: int
     final: np.ndarray
@@ -593,7 +616,7 @@ def _splitting_replicate(
     scanner = _SignScanner(n, IntervalSpec(kind), step)
     if scanner.degenerate:  # the event holds vacuously
         return _Replicate(
-            1.0, 0, particles, 0, np.empty((n + 1, 0)), np.empty(0, dtype=bool)
+            1.0, 0, 0.0, particles, 0, np.empty((n + 1, 0)), np.empty(0, dtype=bool)
         )
     x = rng.standard_normal((scanner.rank, particles))
     score = scanner.score(x)
@@ -601,6 +624,7 @@ def _splitting_replicate(
     spread = math.sqrt(1.0 - _PCN_RHO**2)
     log_weight = 0.0
     levels = 0
+    accepted = proposed = 0
     while True:
         level = np.partition(score, k - 1)[k - 1]
         if level >= 0.0:
@@ -630,17 +654,20 @@ def _splitting_replicate(
         # kernel within a level is fixed, so each level's moves stay
         # invariant for N(0, I) conditioned above that level
         rate = taken / (_PCN_STEPS * len(killed))
+        accepted += taken
+        proposed += _PCN_STEPS * len(killed)
         spread = min(1.0, spread * math.exp(2.0 * (rate - _PCN_TARGET_ACCEPT)))
     a = scanner.lift(x, rng.standard_normal((n + 1, particles)))
     persistent = _decide(scanner, a, *scanner.classify(a))
     successes = int(np.count_nonzero(persistent))
     p = math.exp(log_weight) * successes / particles
-    return _Replicate(p, levels, successes, scanner.unresolved, a, persistent)
+    accept = accepted / proposed if proposed else 0.0
+    return _Replicate(p, levels, accept, successes, scanner.unresolved, a, persistent)
 
 
-def _splitting_worker(task) -> tuple[float, int, int, int]:
+def _splitting_worker(task) -> tuple[float, int, float, int, int]:
     rep = _splitting_replicate(*task)
-    return rep.p, rep.levels, rep.successes, rep.unresolved
+    return rep.p, rep.levels, rep.accept, rep.successes, rep.unresolved
 
 
 def estimate_persistence_splitting(
@@ -681,8 +708,10 @@ def estimate_persistence_splitting(
         [r[0] for r in results],
         _SPLIT_PARTICLES,
         levels=sum(r[1] for r in results),
-        successes=sum(r[2] for r in results),
-        unresolved=sum(r[3] for r in results),
+        successes=sum(r[3] for r in results),
+        unresolved=sum(r[4] for r in results),
+        replicate_levels=[r[1] for r in results],
+        replicate_accept=[r[2] for r in results],
     )
 
 

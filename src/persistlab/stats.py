@@ -108,7 +108,10 @@ class SplittingEstimate(_Interval):
     per-level variance formula, because the MCMC moves leave clones
     correlated.  `successes` counts the final-stage particles decided
     persistent over all replicates; `unresolved` counts final-stage particles
-    that no check could decide (counted as failures).
+    that no check could decide (counted as failures).  `levels` is the total
+    over replicates; `replicate_levels` and `replicate_accept` (the share of
+    proposed pCN moves accepted, 0 for a replicate that made none) give each
+    replicate's, when the caller supplies them.
     """
 
     replicate_p: tuple[float, ...]
@@ -119,6 +122,8 @@ class SplittingEstimate(_Interval):
     p_hat: float
     ci_low: float
     ci_high: float
+    replicate_levels: tuple[int, ...] = ()
+    replicate_accept: tuple[float, ...] = ()
 
     @classmethod
     def from_replicates(
@@ -128,6 +133,9 @@ class SplittingEstimate(_Interval):
         levels: int,
         successes: int,
         unresolved: int,
+        *,
+        replicate_levels=(),
+        replicate_accept=(),
     ) -> "SplittingEstimate":
         reps = tuple(float(p) for p in replicate_p)
         if len(reps) < 2:
@@ -140,7 +148,18 @@ class SplittingEstimate(_Interval):
             z = float(student_t.ppf(0.975, len(reps) - 1))
             lo = p_hat * math.exp(-z * se)
             hi = min(1.0, p_hat * math.exp(z * se))
-        return cls(reps, particles, levels, successes, unresolved, p_hat, lo, hi)
+        return cls(
+            reps,
+            particles,
+            levels,
+            successes,
+            unresolved,
+            p_hat,
+            lo,
+            hi,
+            tuple(int(k) for k in replicate_levels),
+            tuple(float(a) for a in replicate_accept),
+        )
 
     def log_usable(self, floor: int = 10) -> bool:
         return self.successes >= floor and self.p_hat > 0.0

@@ -276,10 +276,16 @@ def test_criterion_08_negligible_intervals():
         for n, v in zip((10**2, 10**3, 10**4), normalized)
     )
     unresolved = ", ".join(f"{r.n}/{r.kind}:{r.unresolved}" for r in rows)
+    moves = "; ".join(
+        f"{r.n}/{r.kind}: levels {list(r.estimate.replicate_levels)} pCN accept "
+        + " ".join("%.2f" % a for a in r.estimate.replicate_accept)
+        for r in rows
+    )
     report(
         8,
         ok,
-        f"symmetry={symmetry}; -log p/sqrt(n): {detail}; unresolved {unresolved}",
+        f"symmetry={symmetry}; -log p/sqrt(n): {detail}; unresolved {unresolved}; "
+        f"per replicate {moves}",
         t0,
     )
     assert ok

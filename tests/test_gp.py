@@ -14,6 +14,7 @@ from persistlab.gp import (
     estimate_exponent,
     estimate_survival,
     SERIES_TAIL_TOL,
+    _PEAK_TIE,
     _design_matrix,
     _series_factor,
     fit_exponent,
@@ -104,7 +105,7 @@ def test_latent_series_factor(horizon, step):
     phi = _design_matrix(kernel, grid_times(horizon, step), K)
     g = _series_factor(kernel, horizon, step, K)
     g_again, v = latent_factor(phi, math.sqrt(SERIES_TAIL_TOL))
-    assert np.array_equal(np.abs(g), np.abs(g_again))
+    assert np.array_equal(g, g_again)
     residual = np.square(phi - g_again @ v).sum(axis=1)
     assert residual.max() <= SERIES_TAIL_TOL
     assert np.abs(g @ g.T - phi @ phi.T).max() <= 1.1e-12
@@ -114,24 +115,33 @@ def test_latent_series_factor(horizon, step):
         assert rank == 26
 
 
+def lapack_eigh(driver):
+    """np.linalg.eigh's signature on scipy's eigh with another LAPACK driver."""
+    return lambda a, UPLO="L": scipy.linalg.eigh(a, lower=UPLO == "L", driver=driver)
+
+
 @pytest.mark.parametrize("horizon", [8.0, 12.0])
 def test_series_factor_sign_is_canonical(horizon, monkeypatch):
-    # LAPACK's gesdd (numpy's svd) and gesvd return some singular vectors
-    # with opposite signs at these horizons; the sampler's G must not follow
+    # eigenvectors are unique only up to sign and LAPACK drivers differ in
+    # the sign they return; the factor (G, V) must not follow the driver.
+    # Column 1 at T = 8 is antisymmetric about the grid centre, so two of
+    # its entries tie for the largest magnitude
     K = required_truncation(DEFAULT_KERNEL, horizon)
-    g = _series_factor(DEFAULT_KERNEL, horizon, 0.25, K)
-    peaks = g[np.abs(g).argmax(axis=0), np.arange(g.shape[1])]
-    assert (peaks > 0).all()
-    monkeypatch.setattr(
-        np.linalg,
-        "svd",
-        lambda a, full_matrices=True: scipy.linalg.svd(
-            a, full_matrices=full_matrices, lapack_driver="gesvd"
-        ),
-    )
-    g_gesvd = _series_factor(DEFAULT_KERNEL, horizon, 0.25, K)
-    assert g_gesvd.shape == g.shape
-    assert np.allclose(g_gesvd, g, rtol=0.0, atol=1e-9)
+    phi = _design_matrix(DEFAULT_KERNEL, grid_times(horizon, 0.25), K)
+    g, v = latent_factor(phi, math.sqrt(SERIES_TAIL_TOL))
+    # the first entry tied with the column's largest magnitude is positive
+    mag = np.abs(g)
+    peak = np.argmax(mag >= (1.0 - _PEAK_TIE) * mag.max(axis=0), axis=0)
+    assert (g[peak, np.arange(g.shape[1])] > 0).all()
+    assert np.array_equal(_series_factor(DEFAULT_KERNEL, horizon, 0.25, K), g)
+    for driver in ("evr", "ev"):
+        monkeypatch.setattr(np.linalg, "eigh", lapack_eigh(driver))
+        g_other, v_other = latent_factor(phi, math.sqrt(SERIES_TAIL_TOL))
+        assert g_other.shape == g.shape
+        assert np.allclose(g_other, g, rtol=0.0, atol=1e-9), driver
+        # the Gram fixes V's last rows only to about 1e-16 lambda_max / gap,
+        # 1e-6 here; a sign flip would move a row by O(1)
+        assert np.allclose(v_other, v, rtol=0.0, atol=1e-5), driver
 
 
 def test_series_unit_variance():

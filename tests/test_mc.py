@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from persistlab.mc import (
     FULL_AXIS,
@@ -19,6 +20,7 @@ from persistlab.mc import (
     ratio_sequence,
 )
 from persistlab import mc
+from persistlab.logscale import log_binomial_row
 from persistlab.polys import BinomialPolynomial
 from persistlab.roots import is_persistent
 from persistlab.stats import PersistenceEstimate
@@ -253,10 +255,18 @@ def test_latent_scan_agrees_with_classify_on_lifts(n, kind):
     if scanner.right_limit:
         padded.append((scanner.columns == n)[None, :] / mc._NOISE_REL)
     padded = np.vstack(padded)
-    reach = math.sqrt(n + 1) + 10.0
-    residual = np.linalg.norm(padded - scanner._g @ scanner._v, axis=1) * reach
-    assert np.all(residual <= mc._MARGIN_MAX)
-    np.testing.assert_allclose(scanner.margin, residual + mc._FLOAT_SLACK, rtol=1e-9)
+    # each row's residual E_j meets the lift only through E_j z, a
+    # N(0, |E_j|^2) draw; it exceeds c |E_j| on some of the R rows with
+    # probability at most R e^(-c^2/2) = e^-50
+    c = math.sqrt(2.0 * (50.0 + math.log(len(padded))))
+    residual = padded - scanner._g @ scanner._v
+    e = np.linalg.norm(residual, axis=1)
+    assert np.all(c * e * scanner.u_scale <= mc._MARGIN_U)
+    np.testing.assert_allclose(scanner.margin, c * e + mc._FLOAT_SLACK, rtol=1e-9)
+    # E V^T = 0 up to rounding, which half the float slack absorbs while
+    # |xi| and |V z| stay below sqrt(r) + 10
+    leak = np.linalg.norm(residual @ scanner._v.T, axis=1)
+    assert np.all(leak * (2.0 * math.sqrt(scanner.rank) + 20.0) <= mc._FLOAT_SLACK / 2)
     # on actual lifts the latent values miss the padded values by < margin
     gap = np.abs(padded @ a[scanner.columns] - scanner._g @ xi)
     assert np.all(gap <= scanner.margin[:, None])
@@ -271,10 +281,50 @@ def test_latent_scan_agrees_with_classify_on_lifts(n, kind):
 
 
 def test_latent_rank_is_low_where_the_grid_is_smooth():
-    assert _SignScanner(144, FULL_AXIS).rank < 100
+    assert _SignScanner(144, FULL_AXIS).rank <= 60
     assert _SignScanner(2000, LOW_INTERVAL).rank < 150
     # at n = 2000 the low interval's weights underflow for high-index columns
     assert len(_SignScanner(2000, LOW_INTERVAL).columns) < 2001
+    big = _SignScanner(10**4, LOW_INTERVAL)
+    assert big.rank <= 140 and len(big.columns) <= 2200
+
+
+@pytest.mark.parametrize(
+    "n, kind", [(2000, "low"), (3000, "main"), (10**4, "low"), (10**4, "high")]
+)
+def test_pruned_columns_fit_in_the_noise_threshold(n, kind):
+    # the weights of the dropped columns, D_j, move a padded value by
+    # |D_j a| <= |D_j| |a|, far inside tau while |a| <= sqrt(n+1) + 10
+    scanner = _SignScanner(n, IntervalSpec(kind))
+    dropped = np.ones(n + 1, dtype=bool)
+    dropped[scanner.columns] = False
+    assert dropped.any()
+    logw = log_binomial_row(n)
+    i = np.arange(n + 1, dtype=float)
+    for x, tau in zip(scanner.xs, scanner.tau):
+        lt = logw + i * math.log(x)
+        d = np.exp(lt[dropped] - lt.max())
+        assert np.linalg.norm(d) * (math.sqrt(n + 1) + 10.0) <= 1e-3 * tau
+
+
+@pytest.mark.parametrize("n, kind", [(144, "full"), (10**4, "low")])
+def test_scanner_factor_sign_is_canonical(n, kind, monkeypatch):
+    # fixed-seed draws go through (G, V), so they must not depend on the
+    # LAPACK eigensolver's sign convention (see test_gp's series version)
+    scanner = _SignScanner(n, IntervalSpec(kind))
+    g = scanner._g * scanner.u_scale[:, None]  # unit rows
+    for driver in ("evr", "ev"):
+        monkeypatch.setattr(
+            np.linalg,
+            "eigh",
+            lambda a, UPLO="L": scipy.linalg.eigh(a, lower=UPLO == "L", driver=driver),
+        )
+        other = _SignScanner(n, IntervalSpec(kind))
+        assert other.rank == scanner.rank
+        assert np.allclose(
+            other._g * other.u_scale[:, None], g, rtol=0.0, atol=1e-9
+        ), driver
+        assert np.allclose(other._v, scanner._v, rtol=0.0, atol=1e-5), driver
 
 
 def test_escalations_are_counted():
@@ -336,11 +386,16 @@ def test_splitting_independent_of_worker_count():
         36, LOW_INTERVAL, replicates=3, seed=91, workers=2
     )
     assert one == two
+    # per-replicate diagnostics add up to the totals
+    assert len(one.replicate_levels) == 3 and sum(one.replicate_levels) == one.levels
+    assert len(one.replicate_accept) == 3
+    assert all(0.0 < a < 1.0 for a in one.replicate_accept)
 
 
 def test_splitting_degenerate_interval_and_validation():
     est = estimate_persistence_splitting(1, MAIN_INTERVAL, seed=1)
     assert est.p_hat == 1.0 and est.levels == 0
+    assert est.replicate_levels == (0,) * 4 and est.replicate_accept == (0.0,) * 4
     with pytest.raises(ValueError):
         estimate_persistence_splitting(36, LOW_INTERVAL, replicates=1)
     with pytest.raises(ValueError):
