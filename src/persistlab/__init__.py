@@ -10,7 +10,7 @@ correspondence for random multiplayer games.
 __version__ = "0.1.0"
 
 from .logscale import SignedLogValue
-from .polys import BinomialPolynomial, eval_f, eval_g, sample_polynomial
+from .polys import BinomialPolynomial, eval_f, sample_polynomial
 from .roots import DyadicPolynomial, count_positive_roots, is_persistent
 from .stats import PersistenceEstimate, wilson_ci
 
@@ -20,7 +20,6 @@ __all__ = [
     "BinomialPolynomial",
     "sample_polynomial",
     "eval_f",
-    "eval_g",
     "DyadicPolynomial",
     "count_positive_roots",
     "is_persistent",

@@ -47,7 +47,7 @@ class RunConfig:
     n_list: tuple[int, ...] = ()
     samples: int | None = None
     seed: int = 0
-    workers: int = 1
+    workers: int = 1  # changes the speed only, so the header leaves it out
     delta: float = 0.25
     horizons: tuple[float, ...] = tuple(float(t) for t in range(3, 13))
     interval: str = "full"
@@ -67,8 +67,6 @@ class RunConfig:
             cfg["n_list"] = ",".join(str(v) for v in self.n_list)
         if self.samples is not None:
             cfg["samples"] = self.samples
-        if self.command in ("persist", "ratio", "negligible", "game"):
-            cfg["workers"] = self.workers
         if self.command in ("persist", "ratio", "negligible", "gp-exponent"):
             cfg["delta"] = self.delta
         if self.command in ("ratio", "gp-exponent"):

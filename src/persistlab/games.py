@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mc import FULL_AXIS, _DEFAULT_BATCH, _SignScanner, _partition, _pool
+from .mc import FULL_AXIS, _SignScanner, _blocks, _run_units
 from .polys import BinomialPolynomial
 from .roots import DyadicPolynomial, locate_positive_roots, no_positive_roots
 from .stats import PersistenceEstimate
@@ -158,29 +158,17 @@ def _no_positive_root(n: int, a: np.ndarray) -> np.ndarray:
     return none
 
 
-def _no_equilibria_worker(task) -> tuple[int, int]:
-    """(games with no internal equilibrium, lifted games) of one worker's
-    share: the scanner's latent sign-change rule rejects games with a
+def _no_equilibria_block(scanner: _SignScanner, seed, size: int) -> tuple[int, int]:
+    """(games with no internal equilibrium, lifted games) of one seeded
+    block: the scanner's latent sign-change rule rejects games with a
     certain root, the rest are lifted to payoff differences and decided
     exactly by _no_positive_root."""
-    players, child_ss, count = task
-    rng = np.random.default_rng(child_ss)
-    n = players - 1
-    scanner = _SignScanner(n, FULL_AXIS)
-    none = 0
-    escalated = 0
-    remaining = count
-    while remaining > 0:
-        b = min(_DEFAULT_BATCH, remaining)
-        remaining -= b
-        xi = rng.standard_normal((scanner.rank, b))
-        lifted = np.flatnonzero(~scanner.sign_change(xi))
-        if len(lifted):
-            z = rng.standard_normal((n + 1, len(lifted)))
-            a = scanner.lift(xi[:, lifted], z)
-            none += int(np.count_nonzero(_no_positive_root(n, a)))
-            escalated += len(lifted)
-    return none, escalated
+    rng = np.random.default_rng(seed)
+    xi = rng.standard_normal((scanner.rank, size))
+    lifted = np.flatnonzero(~scanner.sign_change(xi))
+    z = rng.standard_normal((scanner.n + 1, len(lifted)))
+    a = scanner.lift(xi[:, lifted], z)
+    return int(np.count_nonzero(_no_positive_root(scanner.n, a))), len(lifted)
 
 
 def prob_no_internal_equilibria(
@@ -198,8 +186,8 @@ def prob_no_internal_equilibria(
     the scanner's latent space when its polynomial certifiably takes both
     signs (wrong with probability below e^-50 per game); every other game
     is lifted to exactly standard normal differences and decided exactly.
-    The estimate's `escalated` counts the lifted games.  Deterministic
-    given (seed, workers).
+    The estimate's `escalated` counts the lifted games.  Bit-identical given
+    the seed, for any worker count.
     """
     if players < 2:
         raise ValueError("need at least 2 players")
@@ -207,19 +195,14 @@ def prob_no_internal_equilibria(
         raise ValueError("samples must be positive")
     if workers < 1:
         raise ValueError("workers must be positive")
-    children = np.random.SeedSequence(seed).spawn(workers)
-    tasks = [
-        (players, child, cnt)
-        for child, cnt in zip(children, _partition(samples, workers))
-        if cnt > 0
-    ]
-    if len(tasks) == 1:
-        results = [_no_equilibria_worker(tasks[0])]
-    else:
-        with _pool(len(tasks)) as pool:
-            results = list(pool.map(_no_equilibria_worker, tasks))
-    none = sum(r[0] for r in results)
-    escalated = sum(r[1] for r in results)
+    results = _run_units(
+        _SignScanner,
+        (players - 1, FULL_AXIS),
+        _no_equilibria_block,
+        _blocks(seed, samples),
+        workers,
+    )
+    none, escalated = (sum(r) for r in zip(*results))
     return PersistenceEstimate.from_counts(none, samples, level, escalated=escalated)
 
 

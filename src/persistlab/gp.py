@@ -55,6 +55,7 @@ MAX_JITTER = 1e-8
 # above the ~1e-7 relative drift of the smallest kept columns between LAPACK
 # eigensolvers
 _PEAK_TIE = 1e-6
+_BLOCK = 20_000  # paths drawn per matmul in estimate_survival
 
 
 @dataclass(frozen=True)
@@ -278,7 +279,6 @@ def estimate_survival(
     method: str = "series",
     truncation: int | None = None,
     jitter: float = 1e-12,
-    block: int = 20_000,
     level: float = 0.95,
 ) -> PersistenceEstimate:
     """P(min over the grid > 0) with a Wilson interval.
@@ -304,7 +304,7 @@ def estimate_survival(
     successes = 0
     remaining = samples
     while remaining > 0:
-        b = min(block, remaining)
+        b = min(_BLOCK, remaining)
         remaining -= b
         z = rng.standard_normal((factor.shape[1], b))
         paths = factor @ z  # (grid, b)

@@ -33,11 +33,12 @@ adaptive multilevel splitting on the latent scan score with pCN moves
 (estimate_persistence_splitting); its final stage makes the same per-sample
 decisions as above.
 
-Determinism: a master seed spawns one child stream per worker, the sample
-counts per worker are a fixed function of (samples, workers), and results
-reduce by summation, so every estimate is reproducible bit-for-bit given
-(seed, workers, batch).  Splitting replicates are seeded one by one and do
-not depend on the worker count at all.
+Determinism: plain Monte Carlo (and games) draw in blocks of _BATCH
+samples, block b seeded from SeedSequence(seed).spawn(B)[b], and splitting
+replicate r from (seed, n, interval, r).  Workers take contiguous ranges of
+these units and results are summed in unit order (_run_units), so every
+estimate is reproducible bit-for-bit from the seed alone, at any worker
+count.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ _W_MAX_ELEMENTS = 15_000_000  # largest weight matrix a scanner builds
 _MARGIN_U = 1e-4  # largest latent row residual margin, in normalized units
 _PRUNE_REL = 1e-16  # columns below this fraction of every row's peak weight drop
 _FLOAT_SLACK = 1e-3  # tau units; covers the rounding of the scan, the lift and E V^T
-_DEFAULT_BATCH = 4096
+_BATCH = 4096  # samples per seeded block
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,6 @@ class _SignScanner:
         self.n = n
         self.interval = interval
         self.step = step
-        self.unresolved = 0
 
         span = math.pi * math.sqrt(n)
         t_lo, t_hi = interval.t_range(n)
@@ -416,9 +416,10 @@ class _SignScanner:
             probe = (Fraction(x_lo) + Fraction(x_hi)) / 2
         return dp(probe) > 0
 
-    def resolve(self, coeffs: np.ndarray, u_col: np.ndarray) -> bool:
+    def resolve(self, coeffs: np.ndarray, u_col: np.ndarray) -> bool | None:
         """Settle one escalated sample: local refinement of every cell, exact
-        fallback when refinement cannot certify either way."""
+        fallback when refinement cannot certify either way; None when neither
+        can decide (above the exact-fallback degree)."""
         p = BinomialPolynomial(self.n, coeffs)
         needs_exact = False
         for k in range(len(self.t_pad) - 1):
@@ -438,54 +439,24 @@ class _SignScanner:
             return True
         if self.n <= _EXACT_FALLBACK_MAX_DEGREE:
             return self._exact_positive(p)
-        self.unresolved += 1
-        return False
+        return None
 
 
-def _decide(scanner: _SignScanner, a, verdicts, u_pad) -> np.ndarray:
-    """Persistence verdict per coefficient column from classify()'s output:
+def _decide(scanner: _SignScanner, a, verdicts, u_pad) -> tuple[np.ndarray, int]:
+    """Persistence verdict per coefficient column from classify()'s output,
+    and how many columns no check could decide (scored as not persistent):
     accepted columns persist, escalated ones are settled one by one (exact on
     the full axis, refine-then-exact on restricted intervals)."""
     persistent = verdicts == _SignScanner.ACCEPT
+    unresolved = 0
     for j in np.flatnonzero(verdicts == _SignScanner.ESCALATE):
         if scanner.interval.kind == "full":
             ok = is_persistent(BinomialPolynomial(scanner.n, a[:, j]))
         else:
             ok = scanner.resolve(a[:, j], u_pad[:, j])
-        persistent[j] = ok
-    return persistent
-
-
-def _persistence_worker(task) -> tuple[int, int, int]:
-    """(successes, lifted columns, unresolved samples) of one worker's share:
-    latent scan, then the lifted columns through classify and _decide."""
-    n, kind, step, child_ss, count, batch = task
-    rng = np.random.default_rng(child_ss)
-    if count == 0:
-        return 0, 0, 0
-    if n == 0:
-        draws = rng.standard_normal((1, count))
-        return int(np.count_nonzero(draws[0] > 0.0)), 0, 0
-    scanner = _SignScanner(n, IntervalSpec(kind), step)
-    if scanner.degenerate:  # the event holds vacuously
-        return count, 0, 0
-    successes = 0
-    escalated = 0
-    remaining = count
-    while remaining > 0:
-        b = min(batch, remaining)
-        remaining -= b
-        xi = rng.standard_normal((scanner.rank, b))
-        verdicts = scanner.scan(xi)
-        successes += int(np.count_nonzero(verdicts == _SignScanner.ACCEPT))
-        lifted = np.flatnonzero(verdicts == _SignScanner.ESCALATE)
-        if len(lifted):
-            z = rng.standard_normal((n + 1, len(lifted)))
-            a = scanner.lift(xi[:, lifted], z)
-            persistent = _decide(scanner, a, *scanner.classify(a))
-            successes += int(np.count_nonzero(persistent))
-            escalated += len(lifted)
-    return successes, escalated, scanner.unresolved
+            unresolved += ok is None
+        persistent[j] = bool(ok)
+    return persistent, unresolved
 
 
 def _pin_blas() -> None:
@@ -512,15 +483,62 @@ def _pool(workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas)
 
 
-def _partition(total: int, workers: int) -> list[int]:
-    base, rem = divmod(total, workers)
-    return [base + 1 if w < rem else base for w in range(workers)]
+def _run_slice(build, args, run, units) -> list:
+    state = build(*args)
+    return [run(state, *unit) for unit in units]
+
+
+def _run_units(build, args, run, units: list, workers: int) -> list:
+    """[run(state, *unit) for unit in units] with state = build(*args) built
+    once per worker.  Each of min(workers, len(units)) workers takes a
+    contiguous slice of the units; one worker runs in this process.  Every
+    unit carries its own seed, so the results do not depend on workers."""
+    k = min(workers, len(units))
+    if k <= 1:
+        return _run_slice(build, args, run, units)
+    cuts = [len(units) * w // k for w in range(k + 1)]
+    slices = [units[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    with _pool(k) as pool:
+        parts = pool.map(_run_slice, [build] * k, [args] * k, [run] * k, slices)
+        return [result for part in parts for result in part]
+
+
+def _blocks(seed, samples: int) -> list[tuple]:
+    """Units (seed, size) of _BATCH samples each, the last one shorter;
+    block b is seeded from SeedSequence(seed).spawn(B)[b]."""
+    sizes = [min(_BATCH, samples - lo) for lo in range(0, samples, _BATCH)]
+    return list(zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes))
 
 
 def _derive_seed(seed, *tags: int) -> tuple:
     if isinstance(seed, (tuple, list)):
         return tuple(seed) + tags
     return (int(seed),) + tags
+
+
+def _scanner(n: int, interval: IntervalSpec, step: float) -> _SignScanner | None:
+    """The block state of estimate_persistence: no scanner at degree 0."""
+    return _SignScanner(n, interval, step) if n else None
+
+
+def _persistence_block(
+    scanner: _SignScanner | None, seed, size: int
+) -> tuple[int, int, int]:
+    """(successes, lifted samples, unresolved samples) of one seeded block:
+    latent scan, then the lifted columns through classify and _decide."""
+    rng = np.random.default_rng(seed)
+    if scanner is None:  # n = 0: f = a_0
+        return int(np.count_nonzero(rng.standard_normal(size) > 0.0)), 0, 0
+    if scanner.degenerate:  # the event holds vacuously
+        return size, 0, 0
+    xi = rng.standard_normal((scanner.rank, size))
+    verdicts = scanner.scan(xi)
+    successes = int(np.count_nonzero(verdicts == _SignScanner.ACCEPT))
+    lifted = np.flatnonzero(verdicts == _SignScanner.ESCALATE)
+    z = rng.standard_normal((scanner.n + 1, len(lifted)))
+    a = scanner.lift(xi[:, lifted], z)
+    persistent, unresolved = _decide(scanner, a, *scanner.classify(a))
+    return successes + int(np.count_nonzero(persistent)), len(lifted), unresolved
 
 
 def estimate_persistence(
@@ -531,13 +549,12 @@ def estimate_persistence(
     workers: int = 1,
     step: float = 0.25,
     level: float = 0.95,
-    batch: int = _DEFAULT_BATCH,
 ) -> PersistenceEstimate:
     """Monte Carlo estimate of P(f > 0 on the interval) with a Wilson interval.
 
     Full-axis decisions are exact; restricted intervals use the guarded grid
-    scan (see module docstring).  Deterministic given
-    (seed, workers, batch).
+    scan (see module docstring).  Bit-identical given the seed, for any
+    worker count.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -546,19 +563,11 @@ def estimate_persistence(
     if workers < 1:
         raise ValueError("workers must be positive")
     interval = _coerce_interval(interval)
-    children = np.random.SeedSequence(seed).spawn(workers)
-    tasks = [
-        (n, interval.kind, step, child, cnt, batch)
-        for child, cnt in zip(children, _partition(samples, workers))
-    ]
-    if workers == 1:
-        results = [_persistence_worker(tasks[0])]
-    else:
-        with _pool(workers) as pool:
-            results = list(pool.map(_persistence_worker, tasks))
-    successes = sum(r[0] for r in results)
-    escalated = sum(r[1] for r in results)
-    unresolved = sum(r[2] for r in results)
+    blocks = _blocks(seed, samples)
+    results = _run_units(
+        _scanner, (n, interval, step), _persistence_block, blocks, workers
+    )
+    successes, escalated, unresolved = (sum(r) for r in zip(*results))
     return PersistenceEstimate.from_counts(
         successes, samples, level, unresolved, escalated
     )
@@ -575,22 +584,16 @@ _PCN_TARGET_ACCEPT = 0.3
 @dataclass(frozen=True)
 class _Replicate:
     """One splitting run: its estimate of p and diagnostics (accept is the
-    share of proposed pCN moves accepted, 0 when it made none), plus the
-    final-level particles lifted to coefficients and the verdicts the final
-    stage gave them (no particles when the interval is degenerate)."""
+    share of proposed pCN moves accepted, 0 when it made none)."""
 
     p: float
     levels: int
     accept: float
     successes: int
     unresolved: int
-    final: np.ndarray
-    persistent: np.ndarray
 
 
-def _splitting_replicate(
-    n: int, kind: str, step: float, seed, particles: int
-) -> _Replicate:
+def _splitting_replicate(scanner: _SignScanner, seed, particles: int) -> _Replicate:
     """Generalized adaptive multilevel splitting (Cerou & Guyader 2007;
     Brehier et al. 2016) on the scan score, with pCN moves (Cotter et al.
     2013).
@@ -613,11 +616,8 @@ def _splitting_replicate(
     under every level's conditional law and is drawn fresh at the end.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    scanner = _SignScanner(n, IntervalSpec(kind), step)
     if scanner.degenerate:  # the event holds vacuously
-        return _Replicate(
-            1.0, 0, 0.0, particles, 0, np.empty((n + 1, 0)), np.empty(0, dtype=bool)
-        )
+        return _Replicate(1.0, 0, 0.0, particles, 0)
     x = rng.standard_normal((scanner.rank, particles))
     score = scanner.score(x)
     k = max(1, int(_SPLIT_KILL_FRACTION * particles))
@@ -657,17 +657,12 @@ def _splitting_replicate(
         accepted += taken
         proposed += _PCN_STEPS * len(killed)
         spread = min(1.0, spread * math.exp(2.0 * (rate - _PCN_TARGET_ACCEPT)))
-    a = scanner.lift(x, rng.standard_normal((n + 1, particles)))
-    persistent = _decide(scanner, a, *scanner.classify(a))
+    a = scanner.lift(x, rng.standard_normal((scanner.n + 1, particles)))
+    persistent, unresolved = _decide(scanner, a, *scanner.classify(a))
     successes = int(np.count_nonzero(persistent))
     p = math.exp(log_weight) * successes / particles
     accept = accepted / proposed if proposed else 0.0
-    return _Replicate(p, levels, accept, successes, scanner.unresolved, a, persistent)
-
-
-def _splitting_worker(task) -> tuple[float, int, float, int, int]:
-    rep = _splitting_replicate(*task)
-    return rep.p, rep.levels, rep.accept, rep.successes, rep.unresolved
+    return _Replicate(p, levels, accept, successes, unresolved)
 
 
 def estimate_persistence_splitting(
@@ -683,9 +678,10 @@ def estimate_persistence_splitting(
     plain Monte Carlo can see.  Each replicate runs _SPLIT_PARTICLES
     particles.
 
-    Replicate r is seeded from (seed, n, interval, r) alone and replicates
-    run independently, so the result is bit-identical for any worker count.
-    The interval on log p comes from the replicate spread.
+    Replicate r is seeded from (seed, n, interval, r) alone and each worker
+    builds the scanner once for its replicates, so the result is
+    bit-identical for any worker count.  The interval on log p comes from
+    the replicate spread.
     """
     if n < 1:
         raise ValueError("splitting requires n >= 1")
@@ -695,23 +691,20 @@ def estimate_persistence_splitting(
         raise ValueError("workers must be positive")
     interval = _coerce_interval(interval)
     tag = _KINDS.index(interval.kind)
-    tasks = [
-        (n, interval.kind, step, _derive_seed(seed, n, tag, r), _SPLIT_PARTICLES)
-        for r in range(replicates)
+    units = [
+        (_derive_seed(seed, n, tag, r), _SPLIT_PARTICLES) for r in range(replicates)
     ]
-    if workers == 1:
-        results = [_splitting_worker(t) for t in tasks]
-    else:
-        with _pool(workers) as pool:
-            results = list(pool.map(_splitting_worker, tasks))
+    reps = _run_units(
+        _SignScanner, (n, interval, step), _splitting_replicate, units, workers
+    )
     return SplittingEstimate.from_replicates(
-        [r[0] for r in results],
+        [r.p for r in reps],
         _SPLIT_PARTICLES,
-        levels=sum(r[1] for r in results),
-        successes=sum(r[3] for r in results),
-        unresolved=sum(r[4] for r in results),
-        replicate_levels=[r[1] for r in results],
-        replicate_accept=[r[2] for r in results],
+        levels=sum(r.levels for r in reps),
+        successes=sum(r.successes for r in reps),
+        unresolved=sum(r.unresolved for r in reps),
+        replicate_levels=[r.levels for r in reps],
+        replicate_accept=[r.accept for r in reps],
     )
 
 

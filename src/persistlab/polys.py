@@ -12,9 +12,7 @@ from .logscale import SignedLogValue, log_binomial_row, signed_log_sum
 __all__ = [
     "BinomialPolynomial",
     "sample_polynomial",
-    "reversed_polynomial",
     "eval_f",
-    "eval_g",
 ]
 
 
@@ -46,11 +44,6 @@ def sample_polynomial(n: int, rng: np.random.Generator) -> BinomialPolynomial:
     return BinomialPolynomial(n, rng.standard_normal(n + 1))
 
 
-def reversed_polynomial(p: BinomialPolynomial) -> BinomialPolynomial:
-    """Coefficient reversal a_i -> a_{n-i}; same law, swaps the roles of x and 1/x."""
-    return BinomialPolynomial(p.degree, p.coefficients[::-1].copy())
-
-
 def eval_f(p: BinomialPolynomial, x: float) -> SignedLogValue:
     """Sign and log-magnitude of f(x) at x > 0, via log-scaled weights.
 
@@ -63,8 +56,3 @@ def eval_f(p: BinomialPolynomial, x: float) -> SignedLogValue:
     with np.errstate(divide="ignore"):
         log_terms = logw + i * math.log(x) + np.log(np.abs(p.coefficients))
     return signed_log_sum(log_terms, np.sign(p.coefficients))
-
-
-def eval_g(p: BinomialPolynomial, x: float) -> SignedLogValue:
-    """g(x) = (x+1)^(-n) f(x): the bounded-variance normalization of eval_f."""
-    return eval_f(p, x).scaled(-p.degree * math.log1p(x))

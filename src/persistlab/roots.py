@@ -22,12 +22,9 @@ __all__ = [
     "SturmChain",
     "RootCountResult",
     "build_chain",
-    "squarefree_part",
     "count_positive_roots",
     "count_roots_in",
     "no_positive_roots",
-    "isolate_positive_roots",
-    "refine_root",
     "locate_positive_roots",
     "is_persistent",
 ]
@@ -242,36 +239,21 @@ def build_chain(p: DyadicPolynomial) -> SturmChain:
     return SturmChain(tuple(tuple(c) for c in chain))
 
 
-def _squarefree_quotient(p: DyadicPolynomial, chain: SturmChain) -> list[int] | None:
-    """Integer coefficients of p / gcd(p, p'), the gcd read off p's chain;
-    None when p is already squarefree (its chain ends at a constant)."""
+def _squarefree_chain(p: DyadicPolynomial) -> SturmChain:
+    """Chain of the squarefree part p / gcd(p, p'), the gcd read off p's
+    chain; reuses p's own chain when p is already squarefree (the chain ends
+    at a constant, the common case), which halves the chain work."""
+    chain = build_chain(p)
     last = chain.elements[-1]
     if len(last) <= 1:
-        return None
+        return chain
     gcd = _primitive(list(last))
     if gcd[-1] < 0:
         gcd = [-v for v in gcd]
-    return _exact_div(_primitive(list(p.scaled_integers())), gcd)
-
-
-def _squarefree_chain(p: DyadicPolynomial) -> SturmChain:
-    """Chain of the squarefree part of p; reuses p's own chain when p is
-    already squarefree (the common case), which halves the chain work."""
-    chain = build_chain(p)
-    quotient = _squarefree_quotient(p, chain)
-    if quotient is None:
-        return chain
+    quotient = _exact_div(_primitive(list(p.scaled_integers())), gcd)
     return SturmChain(
         tuple(tuple(c) for c in _signed_remainder_chain(_primitive(quotient)))
     )
-
-
-def squarefree_part(p: DyadicPolynomial) -> DyadicPolynomial:
-    """p divided by gcd(p, p'): same distinct roots, all simple."""
-    quotient = _squarefree_quotient(p, build_chain(p))
-    if quotient is None:
-        return p
-    return DyadicPolynomial(tuple(Fraction(v) for v in quotient))
 
 
 def _variations(signs: Iterable[int]) -> int:
@@ -528,29 +510,6 @@ def _refine_on_ints(
         else:
             hi = mid
     return float((lo + hi) / 2)
-
-
-def isolate_positive_roots(p: DyadicPolynomial) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint dyadic intervals (lo, hi], each holding exactly one distinct
-    positive root of p."""
-    if p.is_zero():
-        raise ValueError("the zero polynomial has no isolated roots")
-    chain = _squarefree_chain(p)
-    if len(chain.elements[0]) <= 1:
-        return []
-    return _isolate_on_chain(chain)
-
-
-def refine_root(
-    p: DyadicPolynomial, lo: Fraction, hi: Fraction, tol: float = 1e-12
-) -> float:
-    """Bisection on exact signs inside an isolating interval (lo, hi].
-
-    Returns a float within tol of the root; if a dyadic midpoint hits the
-    root exactly, that exact value is returned.
-    """
-    sf = squarefree_part(p)
-    return _refine_on_ints(_primitive(list(sf.scaled_integers())), lo, hi, tol)
 
 
 def locate_positive_roots(p: DyadicPolynomial, tol: float = 1e-12) -> list[float]:

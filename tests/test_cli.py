@@ -63,6 +63,14 @@ def test_persist_rerun_payload_identical(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert read_payload(a) == read_payload(b)
+    # the worker count changes neither the estimate nor the JSON config
+    one = tmp_path / "one.csv"
+    assert main(args[:-1] + ["1", "--out", str(one)]) == 0
+    assert read_payload(one) == read_payload(a)
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    assert main(args[:-1] + ["1", "--format", "json", "--out", str(one)]) == 0
+    assert main(args + ["--format", "json", "--out", str(two)]) == 0
+    assert one.read_bytes() == two.read_bytes()
 
 
 def test_persist_json(tmp_path):

@@ -169,6 +169,7 @@ def test_prob_workers_deterministic():
     a = prob_no_internal_equilibria(4, 8000, seed=6, workers=2)
     b = prob_no_internal_equilibria(4, 8000, seed=6, workers=2)
     assert a == b
+    assert prob_no_internal_equilibria(4, 8000, seed=6, workers=1) == a
 
 
 def test_sample_records():

@@ -90,6 +90,7 @@ def test_estimate_bit_reproducible():
     c = estimate_persistence(16, FULL_AXIS, 20_000, seed=5, workers=2)
     d = estimate_persistence(16, FULL_AXIS, 20_000, seed=5, workers=2)
     assert c == d
+    assert a == c  # independent of the worker count
 
 
 def test_reversal_law_invariance():
@@ -332,6 +333,7 @@ def test_escalations_are_counted():
     two = estimate_persistence(36, MAIN_INTERVAL, 20_000, seed=2, workers=2)
     for est in (one, two):
         assert 0 < est.escalated < est.samples // 10
+    assert one == two
     full = estimate_persistence(24, FULL_AXIS, 20_000, seed=2)
     assert full.escalated >= full.successes
 
@@ -357,19 +359,31 @@ def test_splitting_score_bounds_padded_grid_minimum():
         assert np.all(got <= exact + slack + 1e-12)
 
 
-def test_splitting_final_stage_uses_scanner_verdicts():
+def test_splitting_final_stage_uses_scanner_verdicts(monkeypatch):
+    # the final stage hands the lifted particles to _decide once; record them
+    final = []
+
+    def recording_decide(scanner, a, verdicts, u_pad):
+        persistent, unresolved = decide(scanner, a, verdicts, u_pad)
+        final.append((a, persistent))
+        return persistent, unresolved
+
+    decide = mc._decide
+    monkeypatch.setattr(mc, "_decide", recording_decide)
     for kind in ("low", "high"):
-        rep = _splitting_replicate(36, kind, 0.25, (71, kind == "low"), 200)
-        assert rep.levels > 0
         scanner = _SignScanner(36, IntervalSpec(kind))
-        verdicts, u_pad = scanner.classify(rep.final)
-        for j in range(rep.final.shape[1]):
+        rep = _splitting_replicate(scanner, (71, kind == "low"), 200)
+        assert rep.levels > 0
+        a, persistent = final.pop()
+        assert a.shape == (37, 200)
+        verdicts, u_pad = scanner.classify(a)
+        for j in range(a.shape[1]):
             if verdicts[j] == _SignScanner.ESCALATE:
-                expected = scanner.resolve(rep.final[:, j], u_pad[:, j])
+                expected = scanner.resolve(a[:, j], u_pad[:, j])
             else:
                 expected = verdicts[j] == _SignScanner.ACCEPT
-            assert rep.persistent[j] == expected
-        assert rep.successes == int(rep.persistent.sum())
+            assert persistent[j] == expected
+        assert rep.successes == int(persistent.sum())
 
 
 def test_splitting_overlaps_plain_mc_at_n36():

@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from persistlab.polys import (
-    BinomialPolynomial,
-    eval_f,
-    eval_g,
-    reversed_polynomial,
-    sample_polynomial,
-)
+from persistlab.polys import BinomialPolynomial, eval_f, sample_polynomial
 
 
 def test_sampling_degenerate_size():
@@ -81,31 +75,3 @@ def test_eval_f_rejects_bad_x():
     for x in (0.0, -1.0, float("inf")):
         with pytest.raises(ValueError):
             eval_f(p, x)
-
-
-def test_eval_g_normalization():
-    # g(x) = (x+1)^(-n) f(x): for f = 1 + x this is identically 1
-    p = BinomialPolynomial(1, np.array([1.0, 1.0]))
-    assert eval_g(p, 1.0).to_float() == pytest.approx(1.0, rel=1e-14)
-    assert eval_g(p, 2.0).to_float() == pytest.approx(1.0, rel=1e-14)
-
-
-def test_eval_g_sign_matches_eval_f():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        p = sample_polynomial(int(rng.integers(0, 20)), rng)
-        x = float(rng.uniform(0.05, 20.0))
-        assert eval_g(p, x).sign == eval_f(p, x).sign
-
-
-def test_eval_g_binomial_ratio():
-    # all-ones coefficients: g(1) = 2^n / 2^n = 1
-    p = BinomialPolynomial(400, np.ones(401))
-    got = eval_g(p, 1.0)
-    assert got.sign == 1
-    assert got.log_abs == pytest.approx(0.0, abs=1e-10)
-
-
-def test_reversed_polynomial():
-    p = BinomialPolynomial(2, np.array([1.0, 2.0, 3.0]))
-    assert np.array_equal(reversed_polynomial(p).coefficients, [3.0, 2.0, 1.0])

@@ -4,18 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from persistlab.polys import BinomialPolynomial, reversed_polynomial, sample_polynomial
+from persistlab.polys import BinomialPolynomial, sample_polynomial
 from persistlab.roots import (
     DyadicPolynomial,
     build_chain,
     count_positive_roots,
     count_roots_in,
     is_persistent,
-    isolate_positive_roots,
     locate_positive_roots,
     no_positive_roots,
-    refine_root,
-    squarefree_part,
 )
 
 
@@ -102,8 +99,6 @@ def test_zero_polynomial_rejected():
 def test_repeated_root_ends_at_gcd():
     chain = build_chain(dyadic(1.0, -2.0, 1.0))  # (x-1)^2
     assert len(chain.elements[-1]) > 1  # ends at the gcd, not a constant
-    sf = squarefree_part(dyadic(1.0, -2.0, 1.0))
-    assert sf.degree == 1
 
 
 # --- counting ---
@@ -172,7 +167,7 @@ def test_count_invariant_under_reversal():
         p = sample_polynomial(n, rng)
         a = count_positive_roots(DyadicPolynomial.from_binomial(p)).count
         b = count_positive_roots(
-            DyadicPolynomial.from_binomial(reversed_polynomial(p))
+            DyadicPolynomial.from_binomial(BinomialPolynomial(n, p.coefficients[::-1]))
         ).count
         assert a == b
 
@@ -208,14 +203,6 @@ def test_persistence_against_eigenvalue_oracle():
 # --- isolation and refinement ---
 
 
-def test_isolate_and_refine_cubic():
-    p = dyadic(-6.0, 11.0, -6.0, 1.0)
-    intervals = isolate_positive_roots(p)
-    assert len(intervals) == 3
-    roots = [refine_root(p, lo, hi) for lo, hi in intervals]
-    assert roots == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
-
-
 def test_locate_positive_roots():
     assert locate_positive_roots(dyadic(1.0, 1.0)) == []
     got = locate_positive_roots(dyadic(-6.0, 11.0, -6.0, 1.0))
@@ -223,9 +210,7 @@ def test_locate_positive_roots():
 
 
 def test_refine_hits_exact_dyadic_root():
-    p = dyadic(-0.5, 1.0)  # root exactly 1/2
-    (iv,) = isolate_positive_roots(p)
-    assert refine_root(p, *iv) == 0.5
+    assert locate_positive_roots(dyadic(-0.5, 1.0)) == [0.5]  # root exactly 1/2
 
 
 def test_isolation_with_repeated_roots():
