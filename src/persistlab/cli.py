@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .games import prob_no_internal_equilibria
@@ -25,55 +24,25 @@ from .mc import (
 )
 from .report import csv_text, json_text, svg_text, write_text
 
-__all__ = ["RunConfig", "run", "main", "build_parser"]
+__all__ = ["run", "main", "build_parser"]
 
-_COMMANDS = (
-    "mn-check",
-    "persist",
-    "ratio",
-    "gp-exponent",
-    "negligible",
-    "game",
-    "b1-report",
-)
+# options that change only where or how fast the output is written
+_UNRECORDED = ("workers", "format", "out", "plot")
 
 
-@dataclass
-class RunConfig:
-    """One batch run; everything needed to reproduce its output bytes."""
-
-    command: str
-    n: int | None = None
-    n_list: tuple[int, ...] = ()
-    samples: int | None = None
-    seed: int = 0
-    workers: int = 1  # changes the speed only, so the header leaves it out
-    delta: float = 0.25
-    horizons: tuple[float, ...] = tuple(float(t) for t in range(3, 13))
-    interval: str = "full"
-    out: str | None = None
-    format: str = "csv"
-    plot: bool = False
-
-    def header(self) -> dict:
-        cfg = {
-            "command": self.command,
-            "seed": self.seed,
-            "version": __version__,
-        }
-        if self.n is not None:
-            cfg["n"] = self.n
-        if self.n_list:
-            cfg["n_list"] = ",".join(str(v) for v in self.n_list)
-        if self.samples is not None:
-            cfg["samples"] = self.samples
-        if self.command in ("persist", "ratio", "negligible", "gp-exponent"):
-            cfg["delta"] = self.delta
-        if self.command in ("ratio", "gp-exponent"):
-            cfg["horizons"] = ",".join(f"{t:g}" for t in self.horizons)
-        if self.command == "persist":
-            cfg["interval"] = self.interval
-        return cfg
+def _header(args: argparse.Namespace) -> dict:
+    """The run's reproducibility header: the package version and every
+    option of the command except _UNRECORDED, leaving out unset ones."""
+    cfg = {"version": __version__}
+    for name, value in vars(args).items():
+        if name in _UNRECORDED or value is None or value == ():
+            continue
+        if isinstance(value, tuple):
+            value = ",".join(
+                f"{v:g}" if isinstance(v, float) else str(v) for v in value
+            )
+        cfg[name] = value
+    return cfg
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -133,11 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.25)
     p.add_argument("--horizons", type=_float_list,
                    default=tuple(float(t) for t in range(3, 13)))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", metavar="PATH", default=None)
-    p.add_argument("--plot", action="store_true")
+    add_common(p)
 
     p = sub.add_parser("gp-exponent", help="survival exponent of the limit process")
     p.add_argument("--horizons", type=_float_list,
@@ -163,41 +128,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in (
-        "n",
-        "n_list",
-        "samples",
-        "seed",
-        "workers",
-        "delta",
-        "horizons",
-        "interval",
-        "out",
-        "format",
-        "plot",
-    ):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    return cfg
-
-
-def _ns(config: RunConfig) -> tuple[int, ...]:
-    if config.n_list:
-        return config.n_list
-    if config.n is not None:
-        return (config.n,)
+def _ns(args: argparse.Namespace) -> tuple[int, ...]:
+    if args.n_list:
+        return args.n_list
+    if args.n is not None:
+        return (args.n,)
     raise ValueError("one of --n or --n-list is required")
 
 
 # --- command implementations; each returns (fieldnames, rows, plotspec) ---
 
 
-def _cmd_mn_check(config: RunConfig):
-    n = config.n
-    if n is None:
-        raise ValueError("--n is required")
+def _cmd_mn_check(args: argparse.Namespace):
+    n = args.n
     fields = (
         "x",
         "log_exact",
@@ -230,7 +173,7 @@ def _cmd_mn_check(config: RunConfig):
     return fields, rows, plot
 
 
-def _cmd_persist(config: RunConfig):
+def _cmd_persist(args: argparse.Namespace):
     fields = (
         "n",
         "interval",
@@ -242,14 +185,14 @@ def _cmd_persist(config: RunConfig):
         "ratio",
     )
     rows = []
-    for n in _ns(config):
+    for n in _ns(args):
         est = estimate_persistence(
             n,
-            config.interval,
-            config.samples or 100_000,
-            seed=config.seed,
-            workers=config.workers,
-            step=config.delta,
+            args.interval,
+            args.samples,
+            seed=args.seed,
+            workers=args.workers,
+            step=args.delta,
         )
         ratio = None
         if est.log_usable() and n > 0:
@@ -257,7 +200,7 @@ def _cmd_persist(config: RunConfig):
         rows.append(
             {
                 "n": n,
-                "interval": config.interval,
+                "interval": args.interval,
                 "samples": est.samples,
                 "successes": est.successes,
                 "p_hat": est.p_hat,
@@ -270,20 +213,20 @@ def _cmd_persist(config: RunConfig):
     return fields, rows, plot
 
 
-def _cmd_ratio(config: RunConfig):
+def _cmd_ratio(args: argparse.Namespace):
     fit, _ = estimate_exponent(
         DEFAULT_KERNEL,
-        config.horizons,
-        config.delta,
+        args.horizons,
+        args.delta,
         200_000,
-        seed=(config.seed, 0xEC),
+        seed=(args.seed, 0xEC),
     )
     points, dropped = ratio_sequence(
-        config.n_list,
-        samples=config.samples,
-        seed=config.seed,
-        workers=config.workers,
-        step=config.delta,
+        args.n_list,
+        samples=args.samples,
+        seed=args.seed,
+        workers=args.workers,
+        step=args.delta,
     )
     fields = (
         "n",
@@ -332,13 +275,13 @@ def _cmd_ratio(config: RunConfig):
     return fields, rows, plot
 
 
-def _cmd_gp_exponent(config: RunConfig):
+def _cmd_gp_exponent(args: argparse.Namespace):
     fit, estimates = estimate_exponent(
         DEFAULT_KERNEL,
-        config.horizons,
-        config.delta,
-        config.samples or 200_000,
-        seed=config.seed,
+        args.horizons,
+        args.delta,
+        args.samples,
+        seed=args.seed,
     )
     fields = (
         "horizon",
@@ -375,7 +318,7 @@ def _cmd_gp_exponent(config: RunConfig):
     return fields, rows, plot
 
 
-def _cmd_negligible(config: RunConfig):
+def _cmd_negligible(args: argparse.Namespace):
     rows_out = []
     fields = (
         "n",
@@ -388,11 +331,11 @@ def _cmd_negligible(config: RunConfig):
         "neg_log_p_over_sqrt_n",
     )
     for row in negligible_interval_report(
-        config.n_list,
-        samples=config.samples,
-        seed=config.seed,
-        workers=config.workers,
-        step=config.delta,
+        args.n_list,
+        samples=args.samples,
+        seed=args.seed,
+        workers=args.workers,
+        step=args.delta,
     ):
         est = row.estimate
         rows_out.append(
@@ -412,15 +355,15 @@ def _cmd_negligible(config: RunConfig):
     return fields, rows_out, plot
 
 
-def _cmd_game(config: RunConfig):
+def _cmd_game(args: argparse.Namespace):
     fields = ("players", "samples", "no_equilibria", "p_hat", "ci_low", "ci_high")
     rows = []
-    for players in _ns(config):
+    for players in _ns(args):
         est = prob_no_internal_equilibria(
             players,
-            config.samples or 10_000,
-            seed=(config.seed, players),
-            workers=config.workers,
+            args.samples,
+            seed=(args.seed, players),
+            workers=args.workers,
         )
         rows.append(
             {
@@ -437,11 +380,11 @@ def _cmd_game(config: RunConfig):
     return fields, rows, plot
 
 
-def _cmd_b1_report(config: RunConfig):
+def _cmd_b1_report(args: argparse.Namespace):
     fields = ("n", "lag", "sup_gap")
     rows = [
         {"n": r.n, "lag": r.lag, "sup_gap": r.sup_gap}
-        for r in autocorr_convergence_report(config.n_list)
+        for r in autocorr_convergence_report(args.n_list)
     ]
     plot = ("lag", ("sup_gap",), "autocorrelation limit gap", "lag", "sup gap")
     return fields, rows, plot
@@ -458,25 +401,25 @@ _DISPATCH = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configured run; returns the process exit status."""
-    if config.command not in _DISPATCH:
-        raise ValueError(f"unknown command {config.command!r}")
-    if config.plot and not config.out:
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; returns the process exit status."""
+    if args.command not in _DISPATCH:
+        raise ValueError(f"unknown command {args.command!r}")
+    if args.plot and not args.out:
         raise ValueError("--plot requires --out")
-    fields, rows, plotspec = _DISPATCH[config.command](config)
-    header = config.header()
-    if config.format == "json":
+    fields, rows, plotspec = _DISPATCH[args.command](args)
+    header = _header(args)
+    if args.format == "json":
         text = json_text(fields, rows, header)
     else:
-        text = csv_text(fields, rows, header, timestamp=config.out is not None)
-    if config.out:
-        write_text(config.out, text)
-        if config.plot:
+        text = csv_text(fields, rows, header, timestamp=args.out is not None)
+    if args.out:
+        write_text(args.out, text)
+        if args.plot:
             x_field, y_fields, title, xlabel, ylabel = plotspec
             xs = [row[x_field] for row in rows]
             series = {y: [row.get(y) for row in rows] for y in y_fields}
-            out = config.out
+            out = args.out
             stem = out[: out.rfind(".")] if "." in out.rsplit("/", 1)[-1] else out
             write_text(stem + ".svg", svg_text(xs, series, title, xlabel, ylabel))
     else:
@@ -487,9 +430,8 @@ def run(config: RunConfig) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     try:
-        return run(config)
+        return run(args)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"persistlab: error: {exc}", file=sys.stderr)
         return 1

@@ -33,7 +33,6 @@ __all__ = [
     "equilibrium_polynomial",
     "internal_equilibria",
     "prob_no_internal_equilibria",
-    "sample_records",
 ]
 
 
@@ -176,9 +175,9 @@ def prob_no_internal_equilibria(
     samples: int,
     seed=0,
     workers: int = 1,
-    level: float = 0.95,
 ) -> PersistenceEstimate:
-    """Fraction of random games with no internal equilibrium.
+    """Fraction of random games with no internal equilibrium, with a 95%
+    Wilson interval.
 
     Payoff differences are i.i.d. standard normal; per game the event is
     {no positive root of the associated polynomial}, which is the
@@ -203,22 +202,5 @@ def prob_no_internal_equilibria(
         workers,
     )
     none, escalated = (sum(r) for r in zip(*results))
-    return PersistenceEstimate.from_counts(none, samples, level, escalated=escalated)
-
-
-def sample_records(
-    players: int, samples: int, seed=0, tol: float = 1e-12
-) -> list[tuple[int, int, tuple[float, ...]]]:
-    """Per-game records (sample_id, equilibria count, y-values) for random
-    games with standard-normal payoff differences; single deterministic
-    stream."""
-    if players < 2:
-        raise ValueError("need at least 2 players")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    out = []
-    for sample_id in range(samples):
-        game = GamePayoffs.from_differences(rng.standard_normal(players))
-        eq = internal_equilibria(game, tol)
-        out.append((sample_id, eq.count, eq.internal))
-    return out
+    return PersistenceEstimate.from_counts(none, samples, escalated=escalated)
 

@@ -277,15 +277,16 @@ def estimate_survival(
     samples: int,
     rng,
     method: str = "series",
-    truncation: int | None = None,
-    jitter: float = 1e-12,
-    level: float = 0.95,
 ) -> PersistenceEstimate:
-    """P(min over the grid > 0) with a Wilson interval.
+    """P(min over the grid > 0) with a 95% Wilson interval.
 
-    The step must resolve the unit correlation scale (step <= 0.25) and at
-    least 10^3 paths are required.  Discretization is monitored externally by
-    halving the step and comparing.
+    method="series" samples the series truncated at required_truncation
+    (tail variance below SERIES_TAIL_TOL); method="factor" samples the
+    Cholesky factor of the grid covariance, with jitter escalated from
+    1e-12 (cholesky_with_escalation).  The step must resolve the unit
+    correlation scale (step <= 0.25) and at least 10^3 paths are required.
+    Discretization is monitored externally by halving the step and
+    comparing.
     """
     if step > 0.25 + 1e-12:
         raise ValueError(f"step {step!r} too coarse; need step <= 0.25")
@@ -295,11 +296,10 @@ def estimate_survival(
         raise ValueError(f"unknown method {method!r}")
     rng = np.random.default_rng(rng)
     if method == "series":
-        if truncation is None:
-            truncation = required_truncation(kernel, horizon)
+        truncation = required_truncation(kernel, horizon)
         factor = _series_factor(kernel, horizon, step, truncation)
     else:
-        factor, _ = cholesky_with_escalation(kernel, grid_times(horizon, step), jitter)
+        factor, _ = cholesky_with_escalation(kernel, grid_times(horizon, step))
 
     successes = 0
     remaining = samples
@@ -309,7 +309,7 @@ def estimate_survival(
         z = rng.standard_normal((factor.shape[1], b))
         paths = factor @ z  # (grid, b)
         successes += int(np.count_nonzero(paths.min(axis=0) > 0.0))
-    return PersistenceEstimate.from_counts(successes, samples, level)
+    return PersistenceEstimate.from_counts(successes, samples)
 
 
 @dataclass(frozen=True)
@@ -364,29 +364,20 @@ def estimate_exponent(
     step: float,
     samples: int,
     seed,
-    method: str = "series",
-    t_min: float = 3.0,
-    success_floor: int = 10,
-    level: float = 0.95,
 ) -> tuple[ExponentFit, list[tuple[float, PersistenceEstimate]]]:
-    """Survival estimates over the horizons (one independent substream each)
-    and the exponent fit through the usable ones."""
+    """Series survival estimates over the horizons (one independent
+    substream each) and the exponent fit through the usable ones (at least
+    the success floor of PersistenceEstimate.log_usable, T >= 3)."""
     ss = np.random.SeedSequence(seed)
     children = ss.spawn(len(horizons))
     estimates: list[tuple[float, PersistenceEstimate]] = []
     points: list[tuple[float, float, float]] = []
     for horizon, child in zip(horizons, children):
         est = estimate_survival(
-            kernel,
-            horizon,
-            step,
-            samples,
-            np.random.default_rng(child),
-            method=method,
-            level=level,
+            kernel, horizon, step, samples, np.random.default_rng(child)
         )
         estimates.append((float(horizon), est))
-        if est.log_usable(success_floor):
+        if est.log_usable():
             points.append((float(horizon), est.log_p, est.log_p_stderr))
-    fit = fit_exponent(points, t_min=t_min)
+    fit = fit_exponent(points)
     return fit, estimates

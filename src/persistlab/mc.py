@@ -165,7 +165,7 @@ class _SignScanner:
     scan() gives the same verdicts from latent vectors xi ~ N(0, I_r).  The
     padded rows of classify() (limit rows first and last, each in units of
     its threshold tau, so -1 and 1 are the reject and ambiguity thresholds)
-    form the matrix W~ over the kept columns.  gp.latent_factor factors W~
+    form the matrix W~ (_rows) over the kept columns.  gp.latent_factor factors W~
     in normalized (u) units, where every row has unit norm, from its Gram
     matrix: W~ = G V + E with orthonormal rows V and E V^T = 0 up to
     rounding.  A lifted vector a (see lift) has a[columns] = z_c +
@@ -246,16 +246,16 @@ class _SignScanner:
                 f"the scanner's weight rows ({rows} x {n + 1}) exceed "
                 f"{_W_MAX_ELEMENTS} elements"
             )
-        logw = log_binomial_row(n)
-        i = np.arange(n + 1, dtype=float)
-        w = np.empty((rows, n + 1))
-        self.inv_sd = np.empty(rows)  # 1 / sqrt(M(x)) in normalized units
-        for j, x in enumerate(self.xs):
-            lt = logw + i * math.log(x)
-            m = float(lt.max())
-            w[j] = np.exp(lt - m)
-            self.inv_sd[j] = math.exp(m - 0.5 * mn_exact(n, float(x)).log_abs)
-        self.tau = _NOISE_REL * w.sum(axis=1)  # noise scale from the row mass
+        # w[j, i] = C(n, i) x_j^i / (its row peak), built in place: the
+        # rows x (n + 1) block is the scanner's largest array
+        w = np.multiply.outer(np.log(self.xs), np.arange(n + 1, dtype=float))
+        w += log_binomial_row(n)
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)
+        # M(x_j) = e^(2 m_j) |w_j|^2, so a row's sd in normalized units is
+        # 1 / |w_j|; its threshold tau_j comes from the row mass
+        tau = _NOISE_REL * w.sum(axis=1)
+        inv_sd = 1.0 / np.linalg.norm(w, axis=1)
         self.kappa = _clearance(step)
         # the coefficients some row (or limit point) depends on; the others
         # weigh below _PRUNE_REL of the peak (1) on every row
@@ -263,30 +263,33 @@ class _SignScanner:
         keep[0] |= self.left_limit
         keep[-1] |= self.right_limit
         self.columns = np.flatnonzero(keep)
-        self._w = w[:, self.columns]
+        # the padded rows in tau units, limit rows first and last (a limit
+        # row's mass is 1, so its tau is _NOISE_REL); u_scale takes them to
+        # normalized units
+        padded = [w[:, self.columns] / tau[:, None]]
+        del w  # free the full block before the factor's temporaries
+        scale = [tau * inv_sd]
+        limit_tau = np.array([_NOISE_REL])
+        if self.left_limit:
+            padded.insert(0, (self.columns == 0)[None, :] / _NOISE_REL)
+            scale.insert(0, limit_tau)
+        if self.right_limit:
+            padded.append((self.columns == n)[None, :] / _NOISE_REL)
+            scale.append(limit_tau)
+        self._rows = np.vstack(padded)
+        self.u_scale = np.concatenate(scale)
         self._factor()
 
     def _factor(self) -> None:
         """Rank-r factor of the padded rows (see the class docstring): sets
         rank, the factor _g (padded rows x r, tau units), the lift basis _v
-        (r x columns), margin (tau units) and u_scale (tau units to u
-        units).  The rows are factored in u units, where each has unit norm."""
-        limit_tau = np.array([_NOISE_REL])  # a limit row's mass is 1
-        rows = [self._w / self.tau[:, None]]
-        scale = [self.tau * self.inv_sd]
-        if self.left_limit:
-            rows.insert(0, (self.columns == 0)[None, :] / _NOISE_REL)
-            scale.insert(0, limit_tau)
-        if self.right_limit:
-            rows.append((self.columns == self.n)[None, :] / _NOISE_REL)
-            scale.append(limit_tau)
-        padded = np.vstack(rows)
-        self.u_scale = np.concatenate(scale)
-        c = math.sqrt(2.0 * (50.0 + math.log(len(padded))))
-        g, self._v = latent_factor(padded * self.u_scale[:, None], _MARGIN_U, c)
+        (r x columns) and margin (tau units).  The rows are factored in u
+        units, where each has unit norm."""
+        c = math.sqrt(2.0 * (50.0 + math.log(len(self._rows))))
+        g, self._v = latent_factor(self._rows * self.u_scale[:, None], _MARGIN_U, c)
         self._g = g / self.u_scale[:, None]
         self.rank = self._g.shape[1]
-        residual = padded - self._g @ self._v
+        residual = self._rows - self._g @ self._v
         self.margin = c * np.linalg.norm(residual, axis=1) + _FLOAT_SLACK
 
     # -- batched classification --
@@ -297,23 +300,10 @@ class _SignScanner:
         b = a.shape[1]
         if self.degenerate:
             return np.full(b, self.ACCEPT, dtype=np.int8), None
-        v = self._w @ a[self.columns]
-        u = v * self.inv_sd[:, None]
-        negdef = (v < -self.tau[:, None]).any(axis=0)
-        ambig = (np.abs(v) <= self.tau[:, None]).any(axis=0)
-
-        u_parts = [u]
-        if self.left_limit:
-            left = a[0]
-            negdef |= left < 0.0
-            ambig |= left == 0.0
-            u_parts.insert(0, left[None, :])
-        if self.right_limit:
-            right = a[-1]
-            negdef |= right < 0.0
-            ambig |= right == 0.0
-            u_parts.append(right[None, :])
-        u_pad = np.vstack(u_parts) if len(u_parts) > 1 else u
+        v = self._rows @ a[self.columns]
+        negdef = (v < -1.0).any(axis=0)
+        ambig = (np.abs(v) <= 1.0).any(axis=0)
+        u_pad = v * self.u_scale[:, None]
 
         verdicts = np.full(b, self.ESCALATE, dtype=np.int8)
         verdicts[negdef] = self.REJECT
@@ -548,9 +538,9 @@ def estimate_persistence(
     seed=0,
     workers: int = 1,
     step: float = 0.25,
-    level: float = 0.95,
 ) -> PersistenceEstimate:
-    """Monte Carlo estimate of P(f > 0 on the interval) with a Wilson interval.
+    """Monte Carlo estimate of P(f > 0 on the interval) with a 95% Wilson
+    interval.
 
     Full-axis decisions are exact; restricted intervals use the guarded grid
     scan (see module docstring).  Bit-identical given the seed, for any
@@ -569,7 +559,7 @@ def estimate_persistence(
     )
     successes, escalated, unresolved = (sum(r) for r in zip(*results))
     return PersistenceEstimate.from_counts(
-        successes, samples, level, unresolved, escalated
+        successes, samples, unresolved=unresolved, escalated=escalated
     )
 
 
@@ -709,28 +699,29 @@ def estimate_persistence_splitting(
 
 
 _PILOT_TAG = 0x9111
+_PILOT_SAMPLES = 1000  # the first pilot's size, and the smallest budget
+_PILOT_CAP = 1_000_000  # the largest pilot
 
 
 def auto_budget(
     n: int,
     interval=FULL_AXIS,
     seed=0,
-    pilot_samples: int = 1000,
     target_successes: int = 100,
     floor: int | None = None,
     cap: int = 10_000_000,
     workers: int = 1,
     step: float = 0.25,
-    pilot_cap: int = 1_000_000,
 ) -> int:
-    """Sample budget ceil(target / p_rough) from a pilot run.
+    """Sample budget ceil(target_successes / p_rough) from a pilot run,
+    raised to floor and clipped to cap.
 
-    When the base pilot sees too few hits to gauge the probability, its size
-    escalates by decades (up to pilot_cap) until it does; genuinely rare
-    events then simply charge the cap, and callers should still check the
-    success floor on the final estimate.
+    When the base pilot of _PILOT_SAMPLES sees too few hits to gauge the
+    probability, its size escalates by decades (up to _PILOT_CAP) until it
+    does; genuinely rare events then simply charge the cap, and callers
+    should still check the success floor on the final estimate.
     """
-    size = pilot_samples
+    size = _PILOT_SAMPLES
     stage = 0
     while True:
         pilot = estimate_persistence(
@@ -741,15 +732,15 @@ def auto_budget(
             workers=workers,
             step=step,
         )
-        if pilot.successes >= 20 or size >= pilot_cap:
+        if pilot.successes >= 20 or size >= _PILOT_CAP:
             break
-        size = min(size * 10, pilot_cap)
+        size = min(size * 10, _PILOT_CAP)
         stage += 1
     p_rough = max(pilot.successes, 1) / size
     budget = math.ceil(target_successes / p_rough)
     if floor is not None:
         budget = max(budget, floor)
-    return min(cap, max(budget, pilot_samples))
+    return min(cap, max(budget, _PILOT_SAMPLES))
 
 
 @dataclass(frozen=True)
@@ -768,34 +759,22 @@ def ratio_sequence(
     samples: int | None = None,
     seed=0,
     workers: int = 1,
-    success_floor: int = 10,
-    target_successes: int = 100,
-    floor_samples: int | None = None,
-    cap: int = 10_000_000,
     step: float = 0.25,
-    pilot_cap: int = 1_000_000,
 ) -> tuple[list[RatioPoint], list[tuple[int, PersistenceEstimate]]]:
     """Full-axis ratio points over increasing n; `samples=None` auto-budgets
-    each n.  Undersampled n (below the success floor) are dropped into the
-    second return value instead of producing an unstable log."""
+    each n (capped at 10^7).  Undersampled n (below the success floor of
+    PersistenceEstimate.log_usable) are dropped into the second return value
+    instead of producing an unstable log."""
     points: list[RatioPoint] = []
     dropped: list[tuple[int, PersistenceEstimate]] = []
     for n in ns:
         budget = samples or auto_budget(
-            n,
-            FULL_AXIS,
-            seed=seed,
-            target_successes=target_successes,
-            floor=floor_samples,
-            cap=cap,
-            workers=workers,
-            step=step,
-            pilot_cap=pilot_cap,
+            n, FULL_AXIS, seed=seed, cap=10_000_000, workers=workers, step=step
         )
         est = estimate_persistence(
             n, FULL_AXIS, budget, seed=_derive_seed(seed, n), workers=workers, step=step
         )
-        if not est.log_usable(success_floor):
+        if not est.log_usable():
             dropped.append((n, est))
             continue
         denom = math.pi * math.sqrt(n)
@@ -831,11 +810,7 @@ def negligible_interval_report(
     samples: int | None = None,
     seed=0,
     workers: int = 1,
-    success_floor: int = 10,
-    target_successes: int = 100,
-    cap: int = 2_000_000,
     step: float = 0.25,
-    pilot_cap: int = 1_000_000,
     estimator: str = "mc",
 ) -> list[IntervalReportRow]:
     """Low- and high-interval persistence, normalized by sqrt(n).
@@ -843,11 +818,12 @@ def negligible_interval_report(
     The two intervals have equal probability in law (coefficient reversal),
     which the report exposes by estimating both independently.
 
-    estimator="mc" is plain Monte Carlo with a pilot-scaled budget
-    (`samples`, `target_successes`, `cap` and `pilot_cap` apply to it only);
-    estimator="splitting" uses estimate_persistence_splitting at its default
-    size, which resolves the probabilities near 1e-12 that the low interval
-    reaches at n = 10^4.
+    estimator="mc" is plain Monte Carlo with `samples` per interval, or
+    with auto_budget's pilot-scaled budget capped at 2 * 10^6 when `samples`
+    is None; estimator="splitting" uses estimate_persistence_splitting at
+    its default size, which resolves the probabilities near 1e-12 that the
+    low interval reaches at n = 10^4.  Estimates below the success floor of
+    PersistenceEstimate.log_usable get no normalized value.
     """
     if estimator not in ("mc", "splitting"):
         raise ValueError(f"estimator must be 'mc' or 'splitting', got {estimator!r}")
@@ -866,11 +842,9 @@ def negligible_interval_report(
                     n,
                     interval,
                     seed=_derive_seed(seed, 1 if kind == "low" else 2),
-                    target_successes=target_successes,
-                    cap=cap,
+                    cap=2_000_000,
                     workers=workers,
                     step=step,
-                    pilot_cap=pilot_cap,
                 )
                 est = estimate_persistence(
                     n,
@@ -880,9 +854,7 @@ def negligible_interval_report(
                     workers=workers,
                     step=step,
                 )
-            normalized = (
-                -est.log_p / math.sqrt(n) if est.log_usable(success_floor) else None
-            )
+            normalized = -est.log_p / math.sqrt(n) if est.log_usable() else None
             rows.append(IntervalReportRow(n, kind, est, normalized))
     return rows
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from persistlab import __version__
 from persistlab.cli import main
 
 
@@ -185,3 +186,67 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# every command's reproducibility header: the version and the options that
+# change the output, never --workers, --format, --out or --plot
+_HEADERS = [
+    (
+        ["mn-check", "--n", "25"],
+        {"command": "mn-check", "n": 25, "seed": 0},
+    ),
+    (
+        ["persist", "--n-list", "1,2", "--samples", "2000", "--seed", "3",
+         "--interval", "low", "--delta", "0.125", "--workers", "2"],
+        {"command": "persist", "n_list": "1,2", "samples": 2000, "seed": 3,
+         "interval": "low", "delta": 0.125},
+    ),
+    (
+        ["persist", "--n", "3", "--samples", "2000"],
+        {"command": "persist", "n": 3, "samples": 2000, "seed": 0,
+         "interval": "full", "delta": 0.25},
+    ),
+    (
+        ["ratio", "--n-list", "1,4", "--samples", "2000", "--seed", "1",
+         "--horizons", "3,4.5,6,7", "--workers", "2"],
+        {"command": "ratio", "n_list": "1,4", "samples": 2000, "seed": 1,
+         "delta": 0.25, "horizons": "3,4.5,6,7"},
+    ),
+    (
+        ["gp-exponent", "--horizons", "3,4,5,6", "--samples", "2000",
+         "--seed", "11"],
+        {"command": "gp-exponent", "horizons": "3,4,5,6", "samples": 2000,
+         "seed": 11, "delta": 0.25},
+    ),
+    (
+        ["negligible", "--n-list", "4", "--seed", "2", "--delta", "0.2"],
+        {"command": "negligible", "n_list": "4", "seed": 2, "delta": 0.2},
+    ),
+    (
+        ["game", "--n", "3", "--samples", "100", "--seed", "5", "--workers", "2"],
+        {"command": "game", "n": 3, "samples": 100, "seed": 5},
+    ),
+    (
+        ["b1-report", "--n-list", "100"],
+        {"command": "b1-report", "n_list": "100", "seed": 0},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    _HEADERS,
+    ids=[f"{args[0]}-{k}" for k, (args, _) in enumerate(_HEADERS)],
+)
+def test_header_records_every_output_option(tmp_path, args, expected):
+    expected = dict(expected, version=__version__)
+    csv_out, json_out = tmp_path / "h.csv", tmp_path / "h.json"
+    assert main(args + ["--out", str(csv_out), "--plot"]) == 0
+    assert main(args + ["--format", "json", "--out", str(json_out)]) == 0
+    comments = [
+        line
+        for line in csv_out.read_text().splitlines()
+        if line.startswith("#") and not line.startswith("# generated: ")
+    ]
+    assert comments == [f"# {key}: {expected[key]}" for key in sorted(expected)]
+    assert json.loads(json_out.read_text())["config"] == expected

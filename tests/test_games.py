@@ -12,7 +12,6 @@ from persistlab.games import (
     payoff_B,
     prob_no_internal_equilibria,
     replicator_rhs,
-    sample_records,
 )
 from persistlab.games import _no_positive_root
 from persistlab.mc import FULL_AXIS, _SignScanner, estimate_persistence
@@ -170,15 +169,6 @@ def test_prob_workers_deterministic():
     b = prob_no_internal_equilibria(4, 8000, seed=6, workers=2)
     assert a == b
     assert prob_no_internal_equilibria(4, 8000, seed=6, workers=1) == a
-
-
-def test_sample_records():
-    records = sample_records(4, 50, seed=9)
-    assert [r[0] for r in records] == list(range(50))
-    for _, count, ys in records:
-        assert count == len(ys)
-        assert all(0.0 < y < 1.0 for y in ys)
-    assert records == sample_records(4, 50, seed=9)  # deterministic
 
 
 def test_prob_rejects_nonpositive_workers():

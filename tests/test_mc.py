@@ -20,6 +20,7 @@ from persistlab.mc import (
     ratio_sequence,
 )
 from persistlab import mc
+from persistlab.kernel import mn_exact
 from persistlab.logscale import log_binomial_row
 from persistlab.polys import BinomialPolynomial
 from persistlab.roots import is_persistent
@@ -249,13 +250,27 @@ def test_latent_scan_agrees_with_classify_on_lifts(n, kind):
     if kind != "full" and n <= 100:  # p is far below 1/3000 at n = 2000
         assert np.count_nonzero(latent == _SignScanner.ACCEPT) > 0
 
-    # the padded rows in tau units, rebuilt from the cached weights
-    padded = [scanner._w / scanner.tau[:, None]]
+    # the padded rows in tau units, rebuilt row by row: w_j = C(n, i) x_j^i
+    # over its peak e^(m_j), tau_j = _NOISE_REL sum(w_j), and u_scale
+    # takes the row to units of its sd sqrt(M(x_j))
+    i = np.arange(n + 1, dtype=float)
+    padded, scale = [], []
+    for x in scanner.xs:
+        lt = log_binomial_row(n) + i * math.log(x)
+        m = lt.max()
+        w = np.exp(lt - m)
+        tau = mc._NOISE_REL * w.sum()
+        padded.append(w[scanner.columns] / tau)
+        scale.append(tau * math.exp(m - 0.5 * mn_exact(n, float(x)).log_abs))
     if scanner.left_limit:
-        padded.insert(0, (scanner.columns == 0)[None, :] / mc._NOISE_REL)
+        padded.insert(0, (scanner.columns == 0) / mc._NOISE_REL)
+        scale.insert(0, mc._NOISE_REL)
     if scanner.right_limit:
-        padded.append((scanner.columns == n)[None, :] / mc._NOISE_REL)
+        padded.append((scanner.columns == n) / mc._NOISE_REL)
+        scale.append(mc._NOISE_REL)
     padded = np.vstack(padded)
+    np.testing.assert_allclose(scanner._rows, padded, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(scanner.u_scale, scale, rtol=1e-12, atol=0.0)
     # each row's residual E_j meets the lift only through E_j z, a
     # N(0, |E_j|^2) draw; it exceeds c |E_j| on some of the R rows with
     # probability at most R e^(-c^2/2) = e^-50
@@ -302,10 +317,11 @@ def test_pruned_columns_fit_in_the_noise_threshold(n, kind):
     assert dropped.any()
     logw = log_binomial_row(n)
     i = np.arange(n + 1, dtype=float)
-    for x, tau in zip(scanner.xs, scanner.tau):
+    for x in scanner.xs:
         lt = logw + i * math.log(x)
-        d = np.exp(lt[dropped] - lt.max())
-        assert np.linalg.norm(d) * (math.sqrt(n + 1) + 10.0) <= 1e-3 * tau
+        w = np.exp(lt - lt.max())
+        tau = mc._NOISE_REL * w.sum()
+        assert np.linalg.norm(w[dropped]) * (math.sqrt(n + 1) + 10.0) <= 1e-3 * tau
 
 
 @pytest.mark.parametrize("n, kind", [(144, "full"), (10**4, "low")])
