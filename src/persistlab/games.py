@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mc import FULL_AXIS, _SignScanner, _blocks, _run_units
+from .mc import FULL_AXIS, _SignScanner, _blocks, _run_units, _scanner
 from .polys import BinomialPolynomial
 from .roots import DyadicPolynomial, locate_positive_roots, no_positive_roots
 from .stats import PersistenceEstimate
@@ -195,8 +195,8 @@ def prob_no_internal_equilibria(
     if workers < 1:
         raise ValueError("workers must be positive")
     results = _run_units(
-        _SignScanner,
-        (players - 1, FULL_AXIS),
+        _scanner,
+        (players - 1, FULL_AXIS, 0.25),  # step as estimate_persistence passes it
         _no_equilibria_block,
         _blocks(seed, samples),
         workers,

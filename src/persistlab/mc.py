@@ -16,9 +16,10 @@ Per-sample decisions:
 The scan runs in a latent space.  On the t-grid the normalized polynomial is
 close to a smooth stationary process (kernel e^(-tau^2/4)), so the Gram
 matrix of the normalized grid rows is close to that process's grid
-covariance, whose spectrum falls like e^(-w^2): each call factors the rows
-once from that Gram matrix (gp.latent_factor: one eigh, no SVD) and keeps
-rank r, r = 56 of 145 columns at n = 144 (full axis), 148 of 1001 at
+covariance, whose spectrum falls like e^(-w^2): each process factors the
+rows once per (n, interval, step) from that Gram matrix (_scanner;
+gp.latent_factor: one eigh, no SVD) and keeps rank r,
+r = 56 of 145 columns at n = 144 (full axis), 148 of 1001 at
 n = 1000 (full axis), 134 of the 2108 columns that carry weight at n = 10^4
 (low interval).  A sample is then r normals xi, scanned through an r-column
 factor with thresholds widened by each row's Gaussian residual margin; only
@@ -38,15 +39,19 @@ samples, block b seeded from SeedSequence(seed).spawn(B)[b], and splitting
 replicate r from (seed, n, interval, r).  Workers take contiguous ranges of
 these units and results are summed in unit order (_run_units), so every
 estimate is reproducible bit-for-bit from the seed alone, at any worker
-count.
+count.  Workers are forked once per process and reused by later calls
+(_pool); they keep the module state they were forked with, so a monkeypatch
+of this module made after the first pooled call does not reach them.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -279,6 +284,10 @@ class _SignScanner:
         self._rows = np.vstack(padded)
         self.u_scale = np.concatenate(scale)
         self._factor()
+        # _scanner shares one scanner among all later calls: freeze it
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     def _factor(self) -> None:
         """Rank-r factor of the padded rows (see the class docstring): sets
@@ -469,8 +478,25 @@ def _pin_blas() -> None:
                 return
 
 
+_kept_pool: dict[int, ProcessPoolExecutor] = {}  # at most one: workers -> pool
+
+
 def _pool(workers: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas)
+    """This process's pool of `workers` workers, started on first use and
+    kept for later calls; asking for another size replaces it.  At
+    interpreter exit concurrent.futures' own exit hook joins its workers.
+    Estimates are called from one thread, so the check-then-replace needs
+    no lock."""
+    if workers not in _kept_pool:
+        _drop_pool()
+        _kept_pool[workers] = ProcessPoolExecutor(workers, initializer=_pin_blas)
+    return _kept_pool[workers]
+
+
+def _drop_pool() -> None:
+    for pool in _kept_pool.values():
+        pool.shutdown()
+    _kept_pool.clear()
 
 
 def _run_slice(build, args, run, units) -> list:
@@ -479,18 +505,32 @@ def _run_slice(build, args, run, units) -> list:
 
 
 def _run_units(build, args, run, units: list, workers: int) -> list:
-    """[run(state, *unit) for unit in units] with state = build(*args) built
-    once per worker.  Each of min(workers, len(units)) workers takes a
-    contiguous slice of the units; one worker runs in this process.  Every
-    unit carries its own seed, so the results do not depend on workers."""
+    """[run(state, *unit) for unit in units] with state = build(*args) in
+    the process that runs the unit.  With workers > 1 the units are cut
+    into min(workers, len(units)) contiguous slices run on _pool(workers),
+    whose workers are forked once per process and reused, so a cached build
+    (_scanner) is paid once per worker, not once per call; they keep the
+    module state they were forked with.  If the kept pool is broken (a
+    worker died), the call runs once more on a fresh pool.  Every unit
+    carries its own seed, so the results do not depend on workers, nor on
+    which worker ran which slice."""
     k = min(workers, len(units))
     if k <= 1:
         return _run_slice(build, args, run, units)
     cuts = [len(units) * w // k for w in range(k + 1)]
     slices = [units[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    with _pool(k) as pool:
-        parts = pool.map(_run_slice, [build] * k, [args] * k, [run] * k, slices)
+
+    def pooled() -> list:
+        parts = _pool(workers).map(
+            _run_slice, [build] * k, [args] * k, [run] * k, slices
+        )
         return [result for part in parts for result in part]
+
+    try:
+        return pooled()
+    except BrokenProcessPool:
+        _drop_pool()
+        return pooled()
 
 
 def _blocks(seed, samples: int) -> list[tuple]:
@@ -506,8 +546,12 @@ def _derive_seed(seed, *tags: int) -> tuple:
     return (int(seed),) + tags
 
 
+@lru_cache(maxsize=1)
 def _scanner(n: int, interval: IntervalSpec, step: float) -> _SignScanner | None:
-    """The block state of estimate_persistence: no scanner at degree 0."""
+    """The block state of every estimate (None at degree 0), built once per
+    process for consecutive calls with the same (n, interval, step).  One
+    entry bounds the memory to one scanner (about 100 MB at n = 10^4 on the
+    full axis); its arrays are read-only."""
     return _SignScanner(n, interval, step) if n else None
 
 
@@ -668,10 +712,10 @@ def estimate_persistence_splitting(
     plain Monte Carlo can see.  Each replicate runs _SPLIT_PARTICLES
     particles.
 
-    Replicate r is seeded from (seed, n, interval, r) alone and each worker
-    builds the scanner once for its replicates, so the result is
-    bit-identical for any worker count.  The interval on log p comes from
-    the replicate spread.
+    Replicate r is seeded from (seed, n, interval, r) alone and each process
+    builds the scanner once (_scanner), so the result is bit-identical for
+    any worker count.  The interval on log p comes from the replicate
+    spread.
     """
     if n < 1:
         raise ValueError("splitting requires n >= 1")
@@ -685,7 +729,7 @@ def estimate_persistence_splitting(
         (_derive_seed(seed, n, tag, r), _SPLIT_PARTICLES) for r in range(replicates)
     ]
     reps = _run_units(
-        _SignScanner, (n, interval, step), _splitting_replicate, units, workers
+        _scanner, (n, interval, step), _splitting_replicate, units, workers
     )
     return SplittingEstimate.from_replicates(
         [r.p for r in reps],

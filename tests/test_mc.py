@@ -1,4 +1,11 @@
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +27,7 @@ from persistlab.mc import (
     ratio_sequence,
 )
 from persistlab import mc
+from persistlab.games import prob_no_internal_equilibria
 from persistlab.kernel import mn_exact
 from persistlab.logscale import log_binomial_row
 from persistlab.polys import BinomialPolynomial
@@ -459,3 +467,97 @@ def test_splitting_overlaps_plain_mc(n):
         )
         assert plain.successes >= 50
         assert split.overlaps(plain), (n, kind, split, plain)
+
+
+def test_cached_scanner_is_read_only():
+    scanner = mc._scanner(36, LOW_INTERVAL, 0.25)
+    assert mc._scanner(36, LOW_INTERVAL, 0.25) is scanner
+    with pytest.raises(ValueError):
+        scanner._rows[0, 0] = 0.0
+    for name in ("ts", "xs", "t_pad", "columns", "u_scale", "_g", "_v", "margin"):
+        assert not getattr(scanner, name).flags.writeable, name
+
+
+COLD_WARM_CALLS = {
+    "full-144": lambda w: estimate_persistence(144, FULL_AXIS, 20_000, 7, w),
+    "low-100": lambda w: estimate_persistence(100, LOW_INTERVAL, 20_000, 7, w),
+    "game-4": lambda w: prob_no_internal_equilibria(4, 20_000, 7, w),
+    "split-low-36": lambda w: estimate_persistence_splitting(
+        36, LOW_INTERVAL, replicates=2, seed=7, workers=w
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(COLD_WARM_CALLS))
+def test_cold_and_warm_calls_agree(name, workers):
+    # a fresh pool forks from a process with an empty cache, so its workers
+    # start cold too
+    mc._scanner.cache_clear()
+    mc._drop_pool()
+    call = COLD_WARM_CALLS[name]
+    assert call(workers) == call(workers)
+
+
+def test_pool_is_kept_across_calls():
+    one = estimate_persistence(16, FULL_AXIS, 20_000, seed=8, workers=2)
+    pool = mc._pool(2)
+    pids = set(pool._processes)
+    assert estimate_persistence(16, FULL_AXIS, 20_000, seed=8, workers=2) == one
+    assert mc._pool(2) is pool
+    assert set(pool._processes) == pids
+
+
+def test_broken_pool_recovers():
+    def call(workers):
+        return estimate_persistence(36, MAIN_INTERVAL, 20_000, seed=9, workers=workers)
+
+    call(2)
+    pool = mc._pool(2)
+    pid = next(iter(pool._processes))
+    # kill only a worker this process started
+    assert pid in {child.pid for child in multiprocessing.active_children()}
+    os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 10.0
+    while not pool._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert call(2) == call(1)
+    assert mc._pool(2) is not pool
+
+
+def _running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_pool_workers_exit_with_their_interpreter():
+    code = (
+        "from persistlab import mc\n"
+        "mc.estimate_persistence(16, mc.FULL_AXIS, 20_000, seed=1, workers=2)\n"
+        "print(*mc._pool(2)._processes)\n"
+    )
+    src = str(Path(mc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    alive = [int(pid) for pid in out.stdout.split()]
+    assert len(alive) == 2
+    try:
+        deadline = time.monotonic() + 10.0
+        while alive and time.monotonic() < deadline:
+            alive = [pid for pid in alive if _running(pid)]
+            time.sleep(0.05)
+        assert not alive
+    finally:
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)
