@@ -34,19 +34,32 @@ adaptive multilevel splitting on the latent scan score with pCN moves
 (estimate_persistence_splitting); its final stage makes the same per-sample
 decisions as above.
 
+Plain Monte Carlo draws each block in two stages: the values at about ten
+padded rows far apart in t first, which reject almost every sample, then the
+rest of the latent vector for the survivors only (_SignScanner.sieve and
+complete); the completed vectors are N(0, I_r), so the scan and every
+verdict after it are unchanged.
+
 Determinism: plain Monte Carlo (and games) draw in blocks of _BATCH
 samples, block b seeded from SeedSequence(seed).spawn(B)[b], and splitting
-replicate r from (seed, n, interval, r).  Workers take contiguous ranges of
-these units and results are summed in unit order (_run_units), so every
-estimate is reproducible bit-for-bit from the seed alone, at any worker
-count.  Workers are forked once per process and reused by later calls
-(_pool); they keep the module state they were forked with, so a monkeypatch
-of this module made after the first pooled call does not reach them.
+replicate r from (seed, n, interval, r).  A plain-MC block draws the sieve
+normals eta first, then w for the sieve's survivors, then z for the columns
+the scan lifts.  Workers take contiguous ranges of these units and results
+are summed in unit order (_run_units), so every estimate is reproducible
+bit-for-bit from the seed alone, at any worker count.  Workers are forked
+(on Linux, whatever the default start method) once per process and reused
+by later calls (_pool); they keep the module
+state they were forked with, so a monkeypatch of this module made after the
+first pooled call does not reach them.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import signal
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -97,8 +110,10 @@ _EXACT_FALLBACK_MAX_DEGREE = 128
 _W_MAX_ELEMENTS = 15_000_000  # largest weight matrix a scanner builds
 _MARGIN_U = 1e-4  # largest latent row residual margin, in normalized units
 _PRUNE_REL = 1e-16  # columns below this fraction of every row's peak weight drop
-_FLOAT_SLACK = 1e-3  # tau units; covers the rounding of the scan, the lift and E V^T
+_FLOAT_SLACK = 1e-3  # tau units; covers the rounding of the scan and the lift
 _BATCH = 4096  # samples per seeded block
+_SIEVE_ROWS = 10  # most padded rows a plain-MC block draws before the rest
+_SIEVE_GAP = 2.5  # least t between sieve rows (limit correlation e^(-gap^2/4))
 
 
 @dataclass(frozen=True)
@@ -177,13 +192,16 @@ class _SignScanner:
     V^T (xi - V z_c), so its padded values are G xi + E_j a[columns] with
     E_j a[columns] = E_j z_c, a N(0, |E_j|^2) draw independent of xi (of any
     law of xi, so it holds for splitting's particles too).  The row margin
-    is margin_j = c |E_j| + _FLOAT_SLACK with c = sqrt(2 (50 + ln R)) over
-    the R padded rows (c = 10.5 at R = 152, 10.6 at R = 349), and a union
-    bound gives
-    P(some |E_j z_c| > c |E_j|) <= R e^(-c^2/2) = e^-50.  The rounding of
-    E V^T times |xi - V z_c| <= 2 sqrt(r) + 20 (outside a further e^-50
-    event for Gaussian xi) stays within half the slack, and the scan's and
-    the lift's rounding within the other half.  Outside these events a
+    is margin_j = c |E_j| + l_j + _FLOAT_SLACK with c = sqrt(2 (50 + ln R))
+    over the R padded rows (c = 10.5 at R = 152, 10.6 at R = 349), and a
+    union bound gives
+    P(some |E_j z_c| > c |E_j|) <= R e^(-c^2/2) = e^-50.  E V^T is zero
+    only up to rounding, and it meets the lift through E V^T (xi - V z_c)
+    with |xi - V z_c| <= 2 sqrt(r) + 20 (outside a further e^-50 event for
+    Gaussian xi), so each row's margin carries l_j = |E_j V^T| (2 sqrt(r) +
+    20), measured at build (5.8e-4 tau at most at n = 3000 on the full axis,
+    r = 256, set by the limit rows, whose tau is 1e-10 u); the scan's and
+    the lift's rounding stay within _FLOAT_SLACK.  Outside these events a
     latent reject (some row below -(1 + margin_j)) is a classify() reject
     of the lift, and a latent accept (every row clears kappa by margin_j and
     none is within 1 + margin_j of zero) is a classify() accept.  r is the
@@ -207,6 +225,28 @@ class _SignScanner:
     signs on the interval (a limit row gives the sign of a_0 at 0+ or of a_n
     at infinity) and has a root there.  The rule reads no sign off a_0 in
     advance, so it holds even when a_0 lies within its own band.
+
+    Plain Monte Carlo draws xi in two stages (sieve, complete).  Almost every
+    sample is rejected, and a few padded rows S far apart in t, nearly
+    independent in the limit, decide most of them: the sieve draws only
+    y_S = L eta, eta ~ N(0, I_s), with L = chol(G_S G_S^T), and rejects a
+    column with some y_S,j < -sieve_thr_j.  The survivors are completed to
+    xi = Q_S eta + (I - Q_S Q_S^T) w, w ~ N(0, I_r), with Q_S = G_S^T L^-T,
+    whose columns are orthonormal: xi is N(0, I_r) and G_S xi = L eta.  In
+    float, |G_S xi - L eta|_j <= rho_j while |eta| <= sqrt(s) + 10 and
+    |w| <= sqrt(r) + 10 (each outside an e^-50 event), with rho_j =
+    (sqrt(s) + 10) |D_j| + (sqrt(r) + 10) |F_j| + 8 s gamma |G_S,j|
+    (sqrt(s) + 2 sqrt(r) + 30) over the computed D = G_S Q_S - L and
+    F = G_S (I - Q_S Q_S^T); the last term bounds the rounding of L eta,
+    of the completion, of the scan's G xi and of D and F themselves, with
+    Higham's gamma = k eps / (1 - k eps), k = r + s + 2, for every product
+    (|L_j| = |G_S,j|, |Q_S|_F = sqrt(s)).  So with sieve_thr_j = 1 +
+    margin_j + rho_j a sieve reject is a scan() reject of the completed xi.
+    S walks the padded rows in t order keeping each row at least
+    _SIEVE_GAP beyond the last one kept, thinned evenly to at most
+    _SIEVE_ROWS and the rank; rows spread evenly instead can be so
+    correlated that L is ill-conditioned (cond 1e5 at n = 36 on the main
+    interval).
     """
 
     REJECT = -1
@@ -284,6 +324,7 @@ class _SignScanner:
         self._rows = np.vstack(padded)
         self.u_scale = np.concatenate(scale)
         self._factor()
+        self._sieve()
         # _scanner shares one scanner among all later calls: freeze it
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
@@ -299,7 +340,38 @@ class _SignScanner:
         self._g = g / self.u_scale[:, None]
         self.rank = self._g.shape[1]
         residual = self._rows - self._g @ self._v
-        self.margin = c * np.linalg.norm(residual, axis=1) + _FLOAT_SLACK
+        leak = np.linalg.norm(residual @ self._v.T, axis=1)
+        self.margin = (
+            c * np.linalg.norm(residual, axis=1)
+            + leak * (2.0 * math.sqrt(self.rank) + 20.0)
+            + _FLOAT_SLACK
+        )
+
+    def _sieve(self) -> None:
+        """The plain-MC sieve (see the class docstring): its padded rows
+        sieve_rows, L (_l), Q_S (_q) and reject thresholds sieve_thr."""
+        rows = [0]
+        for k, t in enumerate(self.t_pad):
+            if t >= self.t_pad[rows[-1]] + _SIEVE_GAP:
+                rows.append(k)
+        s = min(_SIEVE_ROWS, self.rank, len(rows))
+        self.sieve_rows = np.array(rows)[
+            np.arange(s) * (len(rows) - 1) // max(s - 1, 1)
+        ]
+        g = self._g[self.sieve_rows]
+        self._l = np.linalg.cholesky(g @ g.T)
+        self._q = np.linalg.solve(self._l, g).T
+        r = self.rank
+        ku = (r + s + 2) * np.finfo(float).eps
+        gamma = ku / (1.0 - ku)
+        gq = g @ self._q
+        rho = (
+            (math.sqrt(s) + 10.0) * np.linalg.norm(gq - self._l, axis=1)
+            + (math.sqrt(r) + 10.0) * np.linalg.norm(g - gq @ self._q.T, axis=1)
+            + 8.0 * s * gamma * np.linalg.norm(g, axis=1)
+            * (math.sqrt(s) + 2.0 * math.sqrt(r) + 30.0)
+        )
+        self.sieve_thr = 1.0 + self.margin[self.sieve_rows] + rho
 
     # -- batched classification --
 
@@ -322,6 +394,18 @@ class _SignScanner:
             ).all(axis=0)
             verdicts[cleared & ~negdef & ~ambig] = self.ACCEPT
         return verdicts, u_pad
+
+    def sieve(self, eta: np.ndarray) -> np.ndarray:
+        """Which columns of a batch of sieve draws eta ~ N(0, I_s) (s, B)
+        survive the sieve; the others are scan() rejects of any completion
+        (up to probability e^-50).  The interval must not be degenerate."""
+        return ~(self._l @ eta < -self.sieve_thr[:, None]).any(axis=0)
+
+    def complete(self, eta: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Latent columns xi = Q_S eta + (I - Q_S Q_S^T) w, with G_S xi =
+        L eta (up to rho): for eta ~ N(0, I_s) and w ~ N(0, I_r)
+        independent, xi ~ N(0, I_r)."""
+        return w + self._q @ (eta - self._q.T @ w)
 
     def scan(self, xi: np.ndarray) -> np.ndarray:
         """classify()'s verdicts for the lifts of a batch of latent columns
@@ -459,8 +543,8 @@ def _decide(scanner: _SignScanner, a, verdicts, u_pad) -> tuple[np.ndarray, int]
 
 
 def _pin_blas() -> None:
-    """Pool initializer: one OpenBLAS thread per worker, so pooled workers do
-    not oversubscribe the cores.  Acts on the OpenBLAS bundled with numpy
+    """One OpenBLAS thread per pool worker, so pooled workers do not
+    oversubscribe the cores.  Acts on the OpenBLAS bundled with numpy
     wheels; with any other BLAS it does nothing.  Thread counts change the
     speed, not the results."""
     import ctypes
@@ -478,18 +562,47 @@ def _pin_blas() -> None:
                 return
 
 
+def _init_worker(parent: int) -> None:
+    """Pool initializer: one BLAS thread (_pin_blas), and on Linux SIGTERM
+    from the kernel when the parent dies (prctl PR_SET_PDEATHSIG), so kept
+    workers do not outlive a caller killed by a signal; a worker whose
+    parent is already gone exits at once.  The signal fires when the thread
+    that forked the worker exits: the pool forks its workers in the thread
+    that first submits to it, and estimates are called from one thread."""
+    _pin_blas()
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    prctl.restype = ctypes.c_int
+    prctl(1, signal.SIGTERM, 0, 0, 0)  # 1 = PR_SET_PDEATHSIG, <linux/prctl.h>
+    if os.getppid() != parent:
+        os._exit(1)
+
+
 _kept_pool: dict[int, ProcessPoolExecutor] = {}  # at most one: workers -> pool
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
     """This process's pool of `workers` workers, started on first use and
     kept for later calls; asking for another size replaces it.  At
-    interpreter exit concurrent.futures' own exit hook joins its workers.
-    Estimates are called from one thread, so the check-then-replace needs
-    no lock."""
+    interpreter exit concurrent.futures' own exit hook joins its workers; if
+    this process is killed, they get SIGTERM (_init_worker).  Estimates are
+    called from one thread, so the check-then-replace needs no lock."""
     if workers not in _kept_pool:
         _drop_pool()
-        _kept_pool[workers] = ProcessPoolExecutor(workers, initializer=_pin_blas)
+        # fork on Linux whatever the default start method (forkserver from
+        # Python 3.14): a forkserver's workers are its children, not this
+        # process's, so _init_worker's parent check would end them all
+        linux = sys.platform.startswith("linux")
+        _kept_pool[workers] = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork") if linux else None,
+            initializer=_init_worker,
+            initargs=(os.getpid(),),
+        )
     return _kept_pool[workers]
 
 
@@ -559,13 +672,17 @@ def _persistence_block(
     scanner: _SignScanner | None, seed, size: int
 ) -> tuple[int, int, int]:
     """(successes, lifted samples, unresolved samples) of one seeded block:
-    latent scan, then the lifted columns through classify and _decide."""
+    the sieve, the latent scan of the completed survivors, then the lifted
+    columns through classify and _decide."""
     rng = np.random.default_rng(seed)
     if scanner is None:  # n = 0: f = a_0
         return int(np.count_nonzero(rng.standard_normal(size) > 0.0)), 0, 0
     if scanner.degenerate:  # the event holds vacuously
         return size, 0, 0
-    xi = rng.standard_normal((scanner.rank, size))
+    eta = rng.standard_normal((len(scanner.sieve_rows), size))
+    eta = eta[:, scanner.sieve(eta)]
+    w = rng.standard_normal((scanner.rank, eta.shape[1]))
+    xi = scanner.complete(eta, w)
     verdicts = scanner.scan(xi)
     successes = int(np.count_nonzero(verdicts == _SignScanner.ACCEPT))
     lifted = np.flatnonzero(verdicts == _SignScanner.ESCALATE)
