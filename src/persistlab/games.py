@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mc import FULL_AXIS, _SignScanner, _blocks, _run_units, _scanner
+from .engine import _blocks, _run_units
+from .mc import FULL_AXIS, _SignScanner, _scanner
 from .polys import BinomialPolynomial
 from .roots import DyadicPolynomial, locate_positive_roots, no_positive_roots
 from .stats import PersistenceEstimate

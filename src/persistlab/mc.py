@@ -18,7 +18,7 @@ close to a smooth stationary process (kernel e^(-tau^2/4)), so the Gram
 matrix of the normalized grid rows is close to that process's grid
 covariance, whose spectrum falls like e^(-w^2): each process factors the
 rows once per (n, interval, step) from that Gram matrix (_scanner;
-gp.latent_factor: one eigh, no SVD) and keeps rank r,
+engine.latent_factor: one eigh, no SVD) and keeps rank r,
 r = 56 of 145 columns at n = 144 (full axis), 148 of 1001 at
 n = 1000 (full axis), 134 of the 2108 columns that carry weight at n = 10^4
 (low interval).  A sample is then r normals xi, scanned through an r-column
@@ -36,19 +36,19 @@ decisions as above.
 
 Plain Monte Carlo draws each block in two stages: the values at about ten
 padded rows far apart in t first, which reject almost every sample, then the
-rest of the latent vector for the survivors only (_SignScanner.sieve and
-complete); the completed vectors are N(0, I_r), so the scan and every
-verdict after it are unchanged.
+rest of the latent vector for the survivors only (engine.Sieve); the
+completed vectors are N(0, I_r), so the scan and every verdict after it are
+unchanged.
 
-Determinism: plain Monte Carlo (and games) draw in blocks of _BATCH
-samples, block b seeded from SeedSequence(seed).spawn(B)[b], and splitting
-replicate r from (seed, n, interval, r).  A plain-MC block draws the sieve
-normals eta first, then w for the sieve's survivors, then z for the columns
-the scan lifts.  Workers take contiguous ranges of these units and results
-are summed in unit order (_run_units), so every estimate is reproducible
-bit-for-bit from the seed alone, at any worker count.  Workers are forked
-(on Linux, whatever the default start method) once per process and reused
-by later calls (_pool); they keep the module
+Determinism: plain Monte Carlo (and games) draw in blocks of
+engine._BATCH samples, block b seeded from SeedSequence(seed).spawn(B)[b],
+and splitting replicate r from (seed, n, interval, r).  A plain-MC block
+draws the sieve normals eta first, then w for the sieve's survivors, then z
+for the columns the scan lifts.  Workers take contiguous ranges of these
+units and results are summed in unit order (engine._run_units), so every
+estimate is reproducible bit-for-bit from the seed alone, at any worker
+count.  Workers are forked (on Linux, whatever the default start method)
+once per process and reused by later calls (_pool); they keep the module
 state they were forked with, so a monkeypatch of this module made after the
 first pooled call does not reach them.
 """
@@ -56,12 +56,6 @@ first pooled call does not reach them.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-import signal
-import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -69,7 +63,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .gp import latent_factor
+from .engine import (  # _pool, _drop_pool: the pool, under mc's names too
+    Sieve,
+    _blocks,
+    _derive_seed,
+    _drop_pool,
+    _pool,
+    _run_units,
+    latent_factor,
+)
 from .kernel import (
     alpha_shift,
     autocorr_limit_gap,
@@ -111,9 +113,6 @@ _W_MAX_ELEMENTS = 15_000_000  # largest weight matrix a scanner builds
 _MARGIN_U = 1e-4  # largest latent row residual margin, in normalized units
 _PRUNE_REL = 1e-16  # columns below this fraction of every row's peak weight drop
 _FLOAT_SLACK = 1e-3  # tau units; covers the rounding of the scan and the lift
-_BATCH = 4096  # samples per seeded block
-_SIEVE_ROWS = 10  # most padded rows a plain-MC block draws before the rest
-_SIEVE_GAP = 2.5  # least t between sieve rows (limit correlation e^(-gap^2/4))
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,7 @@ class _SignScanner:
     scan() gives the same verdicts from latent vectors xi ~ N(0, I_r).  The
     padded rows of classify() (limit rows first and last, each in units of
     its threshold tau, so -1 and 1 are the reject and ambiguity thresholds)
-    form the matrix W~ (_rows) over the kept columns.  gp.latent_factor factors W~
+    form the matrix W~ (_rows) over the kept columns.  latent_factor factors W~
     in normalized (u) units, where every row has unit norm, from its Gram
     matrix: W~ = G V + E with orthonormal rows V and E V^T = 0 up to
     rounding.  A lifted vector a (see lift) has a[columns] = z_c +
@@ -226,27 +225,9 @@ class _SignScanner:
     at infinity) and has a root there.  The rule reads no sign off a_0 in
     advance, so it holds even when a_0 lies within its own band.
 
-    Plain Monte Carlo draws xi in two stages (sieve, complete).  Almost every
-    sample is rejected, and a few padded rows S far apart in t, nearly
-    independent in the limit, decide most of them: the sieve draws only
-    y_S = L eta, eta ~ N(0, I_s), with L = chol(G_S G_S^T), and rejects a
-    column with some y_S,j < -sieve_thr_j.  The survivors are completed to
-    xi = Q_S eta + (I - Q_S Q_S^T) w, w ~ N(0, I_r), with Q_S = G_S^T L^-T,
-    whose columns are orthonormal: xi is N(0, I_r) and G_S xi = L eta.  In
-    float, |G_S xi - L eta|_j <= rho_j while |eta| <= sqrt(s) + 10 and
-    |w| <= sqrt(r) + 10 (each outside an e^-50 event), with rho_j =
-    (sqrt(s) + 10) |D_j| + (sqrt(r) + 10) |F_j| + 8 s gamma |G_S,j|
-    (sqrt(s) + 2 sqrt(r) + 30) over the computed D = G_S Q_S - L and
-    F = G_S (I - Q_S Q_S^T); the last term bounds the rounding of L eta,
-    of the completion, of the scan's G xi and of D and F themselves, with
-    Higham's gamma = k eps / (1 - k eps), k = r + s + 2, for every product
-    (|L_j| = |G_S,j|, |Q_S|_F = sqrt(s)).  So with sieve_thr_j = 1 +
-    margin_j + rho_j a sieve reject is a scan() reject of the completed xi.
-    S walks the padded rows in t order keeping each row at least
-    _SIEVE_GAP beyond the last one kept, thinned evenly to at most
-    _SIEVE_ROWS and the rank; rows spread evenly instead can be so
-    correlated that L is ill-conditioned (cond 1e5 at n = 36 on the main
-    interval).
+    Plain Monte Carlo draws xi in two stages on sieve, an engine.Sieve over
+    the padded rows whose base thresholds are 1 + margin_j, so a sieve
+    reject is a scan() reject of the completed xi.
     """
 
     REJECT = -1
@@ -324,7 +305,7 @@ class _SignScanner:
         self._rows = np.vstack(padded)
         self.u_scale = np.concatenate(scale)
         self._factor()
-        self._sieve()
+        self.sieve = Sieve(self._g, self.t_pad, 1.0 + self.margin)
         # _scanner shares one scanner among all later calls: freeze it
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
@@ -347,32 +328,6 @@ class _SignScanner:
             + _FLOAT_SLACK
         )
 
-    def _sieve(self) -> None:
-        """The plain-MC sieve (see the class docstring): its padded rows
-        sieve_rows, L (_l), Q_S (_q) and reject thresholds sieve_thr."""
-        rows = [0]
-        for k, t in enumerate(self.t_pad):
-            if t >= self.t_pad[rows[-1]] + _SIEVE_GAP:
-                rows.append(k)
-        s = min(_SIEVE_ROWS, self.rank, len(rows))
-        self.sieve_rows = np.array(rows)[
-            np.arange(s) * (len(rows) - 1) // max(s - 1, 1)
-        ]
-        g = self._g[self.sieve_rows]
-        self._l = np.linalg.cholesky(g @ g.T)
-        self._q = np.linalg.solve(self._l, g).T
-        r = self.rank
-        ku = (r + s + 2) * np.finfo(float).eps
-        gamma = ku / (1.0 - ku)
-        gq = g @ self._q
-        rho = (
-            (math.sqrt(s) + 10.0) * np.linalg.norm(gq - self._l, axis=1)
-            + (math.sqrt(r) + 10.0) * np.linalg.norm(g - gq @ self._q.T, axis=1)
-            + 8.0 * s * gamma * np.linalg.norm(g, axis=1)
-            * (math.sqrt(s) + 2.0 * math.sqrt(r) + 30.0)
-        )
-        self.sieve_thr = 1.0 + self.margin[self.sieve_rows] + rho
-
     # -- batched classification --
 
     def classify(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -394,18 +349,6 @@ class _SignScanner:
             ).all(axis=0)
             verdicts[cleared & ~negdef & ~ambig] = self.ACCEPT
         return verdicts, u_pad
-
-    def sieve(self, eta: np.ndarray) -> np.ndarray:
-        """Which columns of a batch of sieve draws eta ~ N(0, I_s) (s, B)
-        survive the sieve; the others are scan() rejects of any completion
-        (up to probability e^-50).  The interval must not be degenerate."""
-        return ~(self._l @ eta < -self.sieve_thr[:, None]).any(axis=0)
-
-    def complete(self, eta: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Latent columns xi = Q_S eta + (I - Q_S Q_S^T) w, with G_S xi =
-        L eta (up to rho): for eta ~ N(0, I_s) and w ~ N(0, I_r)
-        independent, xi ~ N(0, I_r)."""
-        return w + self._q @ (eta - self._q.T @ w)
 
     def scan(self, xi: np.ndarray) -> np.ndarray:
         """classify()'s verdicts for the lifts of a batch of latent columns
@@ -542,123 +485,6 @@ def _decide(scanner: _SignScanner, a, verdicts, u_pad) -> tuple[np.ndarray, int]
     return persistent, unresolved
 
 
-def _pin_blas() -> None:
-    """One OpenBLAS thread per pool worker, so pooled workers do not
-    oversubscribe the cores.  Acts on the OpenBLAS bundled with numpy
-    wheels; with any other BLAS it does nothing.  Thread counts change the
-    speed, not the results."""
-    import ctypes
-    from pathlib import Path
-
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*.so")):
-        lib = ctypes.CDLL(str(path))
-        for suffix in ("64_", ""):
-            setter = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-                return
-
-
-def _init_worker(parent: int) -> None:
-    """Pool initializer: one BLAS thread (_pin_blas), and on Linux SIGTERM
-    from the kernel when the parent dies (prctl PR_SET_PDEATHSIG), so kept
-    workers do not outlive a caller killed by a signal; a worker whose
-    parent is already gone exits at once.  The signal fires when the thread
-    that forked the worker exits: the pool forks its workers in the thread
-    that first submits to it, and estimates are called from one thread."""
-    _pin_blas()
-    if not sys.platform.startswith("linux"):
-        return
-    import ctypes
-
-    prctl = ctypes.CDLL(None).prctl
-    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
-    prctl.restype = ctypes.c_int
-    prctl(1, signal.SIGTERM, 0, 0, 0)  # 1 = PR_SET_PDEATHSIG, <linux/prctl.h>
-    if os.getppid() != parent:
-        os._exit(1)
-
-
-_kept_pool: dict[int, ProcessPoolExecutor] = {}  # at most one: workers -> pool
-
-
-def _pool(workers: int) -> ProcessPoolExecutor:
-    """This process's pool of `workers` workers, started on first use and
-    kept for later calls; asking for another size replaces it.  At
-    interpreter exit concurrent.futures' own exit hook joins its workers; if
-    this process is killed, they get SIGTERM (_init_worker).  Estimates are
-    called from one thread, so the check-then-replace needs no lock."""
-    if workers not in _kept_pool:
-        _drop_pool()
-        # fork on Linux whatever the default start method (forkserver from
-        # Python 3.14): a forkserver's workers are its children, not this
-        # process's, so _init_worker's parent check would end them all
-        linux = sys.platform.startswith("linux")
-        _kept_pool[workers] = ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork") if linux else None,
-            initializer=_init_worker,
-            initargs=(os.getpid(),),
-        )
-    return _kept_pool[workers]
-
-
-def _drop_pool() -> None:
-    for pool in _kept_pool.values():
-        pool.shutdown()
-    _kept_pool.clear()
-
-
-def _run_slice(build, args, run, units) -> list:
-    state = build(*args)
-    return [run(state, *unit) for unit in units]
-
-
-def _run_units(build, args, run, units: list, workers: int) -> list:
-    """[run(state, *unit) for unit in units] with state = build(*args) in
-    the process that runs the unit.  With workers > 1 the units are cut
-    into min(workers, len(units)) contiguous slices run on _pool(workers),
-    whose workers are forked once per process and reused, so a cached build
-    (_scanner) is paid once per worker, not once per call; they keep the
-    module state they were forked with.  If the kept pool is broken (a
-    worker died), the call runs once more on a fresh pool.  Every unit
-    carries its own seed, so the results do not depend on workers, nor on
-    which worker ran which slice."""
-    k = min(workers, len(units))
-    if k <= 1:
-        return _run_slice(build, args, run, units)
-    cuts = [len(units) * w // k for w in range(k + 1)]
-    slices = [units[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-
-    def pooled() -> list:
-        parts = _pool(workers).map(
-            _run_slice, [build] * k, [args] * k, [run] * k, slices
-        )
-        return [result for part in parts for result in part]
-
-    try:
-        return pooled()
-    except BrokenProcessPool:
-        _drop_pool()
-        return pooled()
-
-
-def _blocks(seed, samples: int) -> list[tuple]:
-    """Units (seed, size) of _BATCH samples each, the last one shorter;
-    block b is seeded from SeedSequence(seed).spawn(B)[b]."""
-    sizes = [min(_BATCH, samples - lo) for lo in range(0, samples, _BATCH)]
-    return list(zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes))
-
-
-def _derive_seed(seed, *tags: int) -> tuple:
-    if isinstance(seed, (tuple, list)):
-        return tuple(seed) + tags
-    return (int(seed),) + tags
-
-
 @lru_cache(maxsize=1)
 def _scanner(n: int, interval: IntervalSpec, step: float) -> _SignScanner | None:
     """The block state of every estimate (None at degree 0), built once per
@@ -679,10 +505,7 @@ def _persistence_block(
         return int(np.count_nonzero(rng.standard_normal(size) > 0.0)), 0, 0
     if scanner.degenerate:  # the event holds vacuously
         return size, 0, 0
-    eta = rng.standard_normal((len(scanner.sieve_rows), size))
-    eta = eta[:, scanner.sieve(eta)]
-    w = rng.standard_normal((scanner.rank, eta.shape[1]))
-    xi = scanner.complete(eta, w)
+    xi = scanner.sieve.draw(rng, size)
     verdicts = scanner.scan(xi)
     successes = int(np.count_nonzero(verdicts == _SignScanner.ACCEPT))
     lifted = np.flatnonzero(verdicts == _SignScanner.ESCALATE)

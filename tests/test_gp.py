@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+from persistlab.engine import _PEAK_TIE
 from persistlab.gp import (
     DEFAULT_KERNEL,
     HALF_TIME_KERNEL,
@@ -14,14 +16,14 @@ from persistlab.gp import (
     estimate_exponent,
     estimate_survival,
     SERIES_TAIL_TOL,
-    _PEAK_TIE,
+    _cholesky,
     _design_matrix,
     _series_factor,
+    _survival_state,
     fit_exponent,
     grid_times,
     latent_factor,
     required_truncation,
-    sample_paths_factor,
     sample_paths_series,
     series_tail_bound,
 )
@@ -153,31 +155,105 @@ def test_series_unit_variance():
 
 
 def test_factor_single_point_is_standard_normal_draw():
-    rng = np.random.default_rng(5)
-    path = sample_paths_factor(DEFAULT_KERNEL, 0.1, 0.25, 1e-12, rng, 1)[0]
-    z = np.random.default_rng(5).standard_normal((1, 1))[0, 0]
-    assert len(path) == 1
-    assert path[0] == pytest.approx(z * math.sqrt(1 + 1e-12), rel=1e-9)
+    # one grid point: the factor path G z is z scaled by sqrt(1 + jitter)
+    chol = _cholesky(DEFAULT_KERNEL, grid_times(0.1, 0.25), 1e-12)
+    assert chol.shape == (1, 1)
+    assert chol[0, 0] == pytest.approx(math.sqrt(1 + 1e-12), rel=1e-15)
 
 
 def test_factor_covariance_lag_one():
-    rng = np.random.default_rng(6)
-    paths = sample_paths_factor(DEFAULT_KERNEL, 4.0, 0.25, 1e-10, rng, 60_000)
-    products = paths[:, 0] * paths[:, 4]
-    se = products.std() / math.sqrt(len(products))
-    assert abs(products.mean() - math.exp(-0.25)) < 4 * se
+    # the factor's paths G z have covariance G G^T: the jittered kernel
+    # matrix at T = 4, so lag one (four steps) correlates by e^(-1/4)
+    times = grid_times(4.0, 0.25)
+    chol = _cholesky(DEFAULT_KERNEL, times, 1e-10)
+    cov = DEFAULT_KERNEL.corr(times[:, None] - times[None, :])
+    np.testing.assert_allclose(
+        chol @ chol.T, cov + 1e-10 * np.eye(len(times)), rtol=0.0, atol=1e-14
+    )
+    assert (chol @ chol.T)[0, 4] == pytest.approx(math.exp(-0.25), abs=1e-14)
 
 
 def test_factor_escalation_reports_jitter():
     times = grid_times(8.0, 0.25)
     with pytest.raises(FactorizationError) as err:
         # the raw kernel matrix at this size is numerically indefinite
-        sample_paths_factor(DEFAULT_KERNEL, 8.0, 0.25, 0.0, np.random.default_rng(0), 4)
+        _cholesky(DEFAULT_KERNEL, times, 0.0)
     assert err.value.jitter == 0.0
     chol, used = cholesky_with_escalation(DEFAULT_KERNEL, times, 1e-14)
     assert used <= 1e-8
     cov = DEFAULT_KERNEL.corr(times[:, None] - times[None, :])
     assert np.allclose(chol @ chol.T, cov, atol=1e-7)
+
+
+def _check_sieve(g, sieve, rng, count):
+    """Complete every sieve draw, rejected ones included: each meets the
+    sieve rows to within rho, and no rejected column survives the grid
+    verdict min(G xi) > 0.  Returns how many columns the sieve rejected."""
+    eta = rng.standard_normal((len(sieve.rows), count))
+    xi = sieve.complete(eta, rng.standard_normal((g.shape[1], count)))
+    gap = np.abs(g[sieve.rows] @ xi - sieve.l @ eta)
+    assert np.all(gap <= sieve.rho[:, None])
+    rejected = ~sieve.passes(eta)
+    assert not np.any(rejected & ((g @ xi).min(axis=0) > 0.0))
+    return int(np.count_nonzero(rejected))
+
+
+@pytest.mark.parametrize("method", ["series", "factor"])
+@pytest.mark.parametrize("horizon", [0.2, 3.0, 12.0, 60.0])
+def test_survival_sieve_rejects_only_paths_that_fail(horizon, method):
+    # gp's sieve rows reject below 0 (threshold rho): a rejected path is
+    # negative on a sieve row, so the grid verdict fails too
+    g, sieve = _survival_state(DEFAULT_KERNEL, horizon, 0.25, method)
+    np.testing.assert_array_equal(sieve.thr, sieve.rho)
+    t = grid_times(horizon, 0.25)[sieve.rows]
+    assert len(t) == min(10, 1 + int(horizon // 2.5))
+    assert _check_sieve(g, sieve, np.random.default_rng(int(horizon * 10)), 20_000)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    horizon=st.floats(0.2, 30.0),
+    step=st.floats(0.05, 0.25, exclude_min=True),
+    method=st.sampled_from(["series", "factor"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_survival_sieve_property(horizon, step, method, seed):
+    # on any grid the rho bound holds and no survivor is lost
+    g, sieve = _survival_state(DEFAULT_KERNEL, horizon, step, method)
+    _check_sieve(g, sieve, np.random.default_rng(seed), 2000)
+
+
+def _unsieved_survivors(g, samples, seed):
+    """Paths G z, z ~ N(0, I_r), with min over the grid > 0: the sampler
+    before the sieve, drawn in chunks."""
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for lo in range(0, samples, 100_000):
+        z = rng.standard_normal((g.shape[1], min(100_000, samples - lo)))
+        hits += int(np.count_nonzero((g @ z).min(axis=0) > 0.0))
+    return hits
+
+
+@pytest.mark.parametrize("method", ["series", "factor"])
+def test_sieved_survival_matches_unsieved_reference(method):
+    # two-sample z on 10^6 paths each; |z| < 4 is a two-sided alpha of
+    # 6.3e-5 per horizon, and it detects a relative bias in p of about 1.2%
+    # at T = 3 (p = 0.20) and 5% at T = 12 (p = 0.012)
+    samples = 1_000_000
+    for horizon in (3.0, 6.0, 12.0):
+        times = grid_times(horizon, 0.25)
+        if method == "series":
+            trunc = required_truncation(DEFAULT_KERNEL, horizon)
+            g = _series_factor(DEFAULT_KERNEL, horizon, 0.25, trunc)
+        else:
+            g, _ = cholesky_with_escalation(DEFAULT_KERNEL, times)
+        est = estimate_survival(
+            DEFAULT_KERNEL, horizon, 0.25, samples, (314, int(horizon)), method
+        )
+        ref = _unsieved_survivors(g, samples, (271, int(horizon)))
+        pooled = (est.successes + ref) / (2 * samples)
+        z = (est.successes - ref) / math.sqrt(2 * samples * pooled * (1 - pooled))
+        assert abs(z) < 4.0, (horizon, est.successes, ref, z)
 
 
 def test_survival_preconditions():

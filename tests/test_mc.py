@@ -26,7 +26,7 @@ from persistlab.mc import (
     negligible_interval_report,
     ratio_sequence,
 )
-from persistlab import mc
+from persistlab import engine, mc
 from persistlab.games import prob_no_internal_equilibria
 from persistlab.kernel import mn_exact
 from persistlab.logscale import log_binomial_row
@@ -248,17 +248,20 @@ def test_unresolved_samples_are_counted(monkeypatch):
 def test_latent_scan_agrees_with_classify_on_lifts(n, kind):
     scanner = _SignScanner(n, IntervalSpec(kind))
     rng = np.random.default_rng(n)
-    eta = rng.standard_normal((len(scanner.sieve_rows), 3000))
-    xi = scanner.complete(eta, rng.standard_normal((scanner.rank, 3000)))
+    sieve = scanner.sieve
+    eta = rng.standard_normal((len(sieve.rows), 3000))
+    xi = sieve.complete(eta, rng.standard_normal((scanner.rank, 3000)))
     a = scanner.lift(xi, rng.standard_normal((n + 1, 3000)))
     latent = scanner.scan(xi)
     exact, u_pad = scanner.classify(a)
     # a sieve reject is a scan reject of the completed column, because the
     # completion meets the sieve rows to within rho
-    assert np.all(latent[~scanner.sieve(eta)] == _SignScanner.REJECT)
-    rho = scanner.sieve_thr - 1.0 - scanner.margin[scanner.sieve_rows]
-    gap = np.abs(scanner._g[scanner.sieve_rows] @ xi - scanner._l @ eta)
-    assert np.all(gap <= rho[:, None])
+    assert np.all(latent[~sieve.passes(eta)] == _SignScanner.REJECT)
+    np.testing.assert_array_equal(
+        sieve.thr, 1.0 + scanner.margin[sieve.rows] + sieve.rho
+    )
+    gap = np.abs(scanner._g[sieve.rows] @ xi - sieve.l @ eta)
+    assert np.all(gap <= sieve.rho[:, None])
     assert np.all(exact[latent == _SignScanner.REJECT] == _SignScanner.REJECT)
     for j in np.flatnonzero(latent == _SignScanner.ACCEPT):
         assert exact[j] == _SignScanner.ACCEPT or scanner.resolve(a[:, j], u_pad[:, j])
@@ -328,8 +331,8 @@ def test_sieve_completion_is_standard_normal():
     scanner = mc._scanner(144, FULL_AXIS, 0.25)
     rng = np.random.default_rng(1441)
     count = 100_000
-    eta = rng.standard_normal((len(scanner.sieve_rows), count))
-    xi = scanner.complete(eta, rng.standard_normal((scanner.rank, count)))
+    eta = rng.standard_normal((len(scanner.sieve.rows), count))
+    xi = scanner.sieve.complete(eta, rng.standard_normal((scanner.rank, count)))
     assert np.all(np.abs(xi.mean(axis=1)) <= 5.0 / math.sqrt(count))
     cov = xi @ xi.T / count
     sd = np.full(cov.shape, 1.0 / math.sqrt(count))
@@ -343,20 +346,20 @@ def test_sieve_rows_are_spaced_and_well_conditioned():
     # keep Q_S orthonormal and rho, the float gap of the completion, far
     # below the scan's margins (in normalized units)
     scanner = _SignScanner(36, MAIN_INTERVAL)
-    rows = scanner.sieve_rows
-    t = scanner.t_pad[rows]
-    assert len(t) >= 2 and np.all(np.diff(t) >= mc._SIEVE_GAP)
+    sieve = scanner.sieve
+    t = scanner.t_pad[sieve.rows]
+    assert len(t) >= 2 and np.all(np.diff(t) >= engine._SIEVE_GAP)
     np.testing.assert_allclose(
-        scanner._q.T @ scanner._q, np.eye(len(t)), rtol=0.0, atol=1e-14
+        sieve.q.T @ sieve.q, np.eye(len(t)), rtol=0.0, atol=1e-14
     )
-    rho = scanner.sieve_thr - 1.0 - scanner.margin[rows]
-    assert np.all(rho > 0.0)
-    assert np.all(rho * scanner.u_scale[rows] <= 1e-5 * mc._MARGIN_U)
+    assert np.all(sieve.rho > 0.0)
+    assert np.all(sieve.rho * scanner.u_scale[sieve.rows] <= 1e-5 * mc._MARGIN_U)
     for n, kind in ((144, "full"), (10**4, "low")):
         scanner = mc._scanner(n, IntervalSpec(kind), 0.25)
-        t = scanner.t_pad[scanner.sieve_rows]
-        assert len(t) == mc._SIEVE_ROWS and np.all(np.diff(t) >= mc._SIEVE_GAP)
-        assert np.linalg.cond(scanner._l) < 100.0
+        t = scanner.t_pad[scanner.sieve.rows]
+        assert len(t) == engine._SIEVE_ROWS
+        assert np.all(np.diff(t) >= engine._SIEVE_GAP)
+        assert np.linalg.cond(scanner.sieve.l) < 100.0
 
 
 def test_latent_rank_is_low_where_the_grid_is_smooth():
@@ -524,14 +527,36 @@ def test_splitting_overlaps_plain_mc(n):
         assert split.overlaps(plain), (n, kind, split, plain)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fixed_seed_outputs_are_pinned(workers):
+    # counts from the release before the seeded-block code moved to
+    # engine.py: the move must not change a draw of mc or games
+    full = estimate_persistence(144, FULL_AXIS, 400_000, seed=1441, workers=workers)
+    assert (full.successes, full.escalated, full.unresolved) == (5, 6, 0)
+    low = estimate_persistence(100, LOW_INTERVAL, 20_000, seed=1001, workers=workers)
+    assert (low.successes, low.escalated, low.unresolved) == (354, 82, 0)
+    split = estimate_persistence_splitting(
+        36, LOW_INTERVAL, replicates=2, seed=36, workers=workers
+    )
+    assert split.replicate_levels == (26, 25)
+    assert (split.successes, split.unresolved) == (951, 0)
+    assert split.replicate_p == pytest.approx(
+        (0.06433830481613889, 0.06489797808734345), rel=1e-12
+    )
+    game = prob_no_internal_equilibria(5, 20_000, seed=55, workers=workers)
+    assert (game.successes, game.escalated) == (4409, 4419)
+
+
 def test_cached_scanner_is_read_only():
     scanner = mc._scanner(36, LOW_INTERVAL, 0.25)
     assert mc._scanner(36, LOW_INTERVAL, 0.25) is scanner
     with pytest.raises(ValueError):
         scanner._rows[0, 0] = 0.0
     names = ("ts", "xs", "t_pad", "columns", "u_scale", "_g", "_v", "margin")
-    for name in names + ("sieve_rows", "_l", "_q", "sieve_thr"):
+    for name in names:
         assert not getattr(scanner, name).flags.writeable, name
+    for name in ("rows", "l", "q", "rho", "thr"):
+        assert not getattr(scanner.sieve, name).flags.writeable, name
 
 
 COLD_WARM_CALLS = {
