@@ -3,14 +3,18 @@ correspondence between internal equilibria and positive polynomial roots.
 
 An internal rest point of the replicator dynamics at population fraction
 y in (0, 1) satisfies equal average payoffs; under x = y / (1 - y) that is a
-positive root of sum_k (a_k - b_k) C(n-1, k) x^k, which the exact counter
-from `roots` decides with no floating error.
+positive root of sum_k (a_k - b_k) C(n-1, k) x^k, whose Bernstein
+coefficients in y are the payoff differences themselves.  Equilibria are
+located by the exact counter from `roots`, with no floating error.
 
 With i.i.d. standard normal payoff differences that polynomial is the
 persistence family of `mc` at degree players - 1, so the no-equilibrium
 rate is estimated on mc's latent sign scan: games whose polynomial
 certifiably changes sign on the grid are rejected there, and only the
-others are lifted to payoff differences and decided exactly.
+others are lifted to payoff differences.  A lifted block is decided at once
+by the certified Bernstein bisection roots.bernstein_verdicts; the games it
+leaves undecided (a zero payoff difference at y = 0, tangencies) go to the
+exact Descartes check, so every verdict is exact.
 """
 
 from __future__ import annotations
@@ -22,7 +26,12 @@ import numpy as np
 from .engine import _blocks, _run_units
 from .mc import FULL_AXIS, _SignScanner, _scanner
 from .polys import BinomialPolynomial
-from .roots import DyadicPolynomial, locate_positive_roots, no_positive_roots
+from .roots import (
+    DyadicPolynomial,
+    bernstein_verdicts,
+    locate_positive_roots,
+    no_positive_roots,
+)
 from .stats import PersistenceEstimate
 
 __all__ = [
@@ -145,30 +154,37 @@ def internal_equilibria(game: GamePayoffs, tol: float = 1e-12) -> EquilibriumSet
     return EquilibriumSet(ys, len(ys), degenerate=False)
 
 
-def _no_positive_root(n: int, a: np.ndarray) -> np.ndarray:
+def _no_positive_root(n: int, a: np.ndarray) -> tuple[np.ndarray, int]:
     """Exact per-column verdict of {no positive root} for payoff differences
-    a (n+1, B): columns whose coefficients are all nonzero and of one sign
-    have none (Descartes' rule of signs), the rest go to the exact check.  A
-    degenerate all-zero difference makes every mixture a rest point, so it
-    does not belong to the no-equilibrium event."""
-    none = (a > 0.0).all(axis=0) | (a < 0.0).all(axis=0)
-    for j in np.flatnonzero(~none):
+    a (n+1, B), and how many columns the exact check decided.  The certified
+    float bisection bernstein_verdicts settles the block at once (its first
+    test is Descartes' rule of signs on the coefficients); only the columns
+    it leaves undecided go to the exact Descartes check.  A degenerate
+    all-zero difference makes every mixture a rest point, so it does not
+    belong to the no-equilibrium event."""
+    verdicts = bernstein_verdicts(a)
+    none = verdicts > 0
+    fallback = np.flatnonzero(verdicts == 0)
+    for j in fallback:
         q = DyadicPolynomial.from_binomial(BinomialPolynomial(n, a[:, j]))
         none[j] = (not q.is_zero()) and no_positive_roots(q)
-    return none
+    return none, len(fallback)
 
 
-def _no_equilibria_block(scanner: _SignScanner, seed, size: int) -> tuple[int, int]:
-    """(games with no internal equilibrium, lifted games) of one seeded
-    block: the scanner's latent sign-change rule rejects games with a
-    certain root, the rest are lifted to payoff differences and decided
-    exactly by _no_positive_root."""
+def _no_equilibria_block(
+    scanner: _SignScanner, seed, size: int
+) -> tuple[int, int, int]:
+    """(games with no internal equilibrium, lifted games, games decided by
+    the exact check) of one seeded block: the scanner's latent sign-change
+    rule rejects games with a certain root, the rest are lifted to payoff
+    differences and decided by _no_positive_root."""
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal((scanner.rank, size))
     lifted = np.flatnonzero(~scanner.sign_change(xi))
     z = rng.standard_normal((scanner.n + 1, len(lifted)))
     a = scanner.lift(xi[:, lifted], z)
-    return int(np.count_nonzero(_no_positive_root(scanner.n, a))), len(lifted)
+    none, exact = _no_positive_root(scanner.n, a)
+    return int(np.count_nonzero(none)), len(lifted), exact
 
 
 def prob_no_internal_equilibria(
@@ -185,9 +201,11 @@ def prob_no_internal_equilibria(
     persistence polynomial family at n = players - 1.  A game is rejected in
     the scanner's latent space when its polynomial certifiably takes both
     signs (wrong with probability below e^-50 per game); every other game
-    is lifted to exactly standard normal differences and decided exactly.
-    The estimate's `escalated` counts the lifted games.  Bit-identical given
-    the seed, for any worker count.
+    is lifted to exactly standard normal differences and decided exactly,
+    by the float certificate or, where it stays undecided, the Fraction
+    path.  The estimate's `escalated` counts the lifted games and `exact`
+    the ones the Fraction path decided.  Bit-identical given the seed, for
+    any worker count.
     """
     if players < 2:
         raise ValueError("need at least 2 players")
@@ -202,6 +220,8 @@ def prob_no_internal_equilibria(
         _blocks(seed, samples),
         workers,
     )
-    none, escalated = (sum(r) for r in zip(*results))
-    return PersistenceEstimate.from_counts(none, samples, escalated=escalated)
+    none, escalated, exact = (sum(r) for r in zip(*results))
+    return PersistenceEstimate.from_counts(
+        none, samples, escalated=escalated, exact=exact
+    )
 

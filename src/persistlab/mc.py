@@ -4,8 +4,10 @@ Per-sample decisions:
 
 * full positive axis: exact.  A vectorized sign scan over the time grid
   rejects samples with a certifiably negative value (threshold far above
-  float cancellation noise); everything else goes to the integer chain
-  counter, so a True verdict is always exact.
+  float cancellation noise); everything else is decided by the certified
+  Bernstein bisection roots.bernstein_verdicts, and the few samples it
+  leaves undecided by the exact integer check, so a True verdict is always
+  exact.
 * restricted intervals (low / high / main): statistical with guards.  The
   time-grid step resolves the O(1) correlation scale; grid-positive samples
   are accepted once every cell clears a conditional-dip threshold, suspicious
@@ -81,7 +83,12 @@ from .kernel import (
 )
 from .logscale import log_binomial_row
 from .polys import BinomialPolynomial, eval_f
-from .roots import DyadicPolynomial, count_roots_in, is_persistent
+from .roots import (
+    DyadicPolynomial,
+    bernstein_verdicts,
+    count_roots_in,
+    is_persistent,
+)
 from .stats import PersistenceEstimate, SplittingEstimate
 
 __all__ = [
@@ -468,21 +475,32 @@ class _SignScanner:
         return None
 
 
-def _decide(scanner: _SignScanner, a, verdicts, u_pad) -> tuple[np.ndarray, int]:
+def _decide(
+    scanner: _SignScanner, a, verdicts, u_pad
+) -> tuple[np.ndarray, int, int]:
     """Persistence verdict per coefficient column from classify()'s output,
-    and how many columns no check could decide (scored as not persistent):
-    accepted columns persist, escalated ones are settled one by one (exact on
-    the full axis, refine-then-exact on restricted intervals)."""
+    how many columns no check could decide (scored as not persistent) and
+    how many the exact full-axis check decided.  Accepted columns persist.
+    On the full axis the escalated columns are settled together by the
+    certified Bernstein bisection (persistent: no positive root and
+    a_0 > 0), and the ones it leaves undecided one by one by the exact
+    is_persistent; on restricted intervals each is refined, then decided
+    exactly."""
     persistent = verdicts == _SignScanner.ACCEPT
+    escalated = np.flatnonzero(verdicts == _SignScanner.ESCALATE)
+    if scanner.interval.kind == "full":
+        certified = bernstein_verdicts(a[:, escalated])
+        persistent[escalated] = (certified > 0) & (a[0, escalated] > 0.0)
+        fallback = escalated[certified == 0]
+        for j in fallback:
+            persistent[j] = is_persistent(BinomialPolynomial(scanner.n, a[:, j]))
+        return persistent, 0, len(fallback)
     unresolved = 0
-    for j in np.flatnonzero(verdicts == _SignScanner.ESCALATE):
-        if scanner.interval.kind == "full":
-            ok = is_persistent(BinomialPolynomial(scanner.n, a[:, j]))
-        else:
-            ok = scanner.resolve(a[:, j], u_pad[:, j])
-            unresolved += ok is None
+    for j in escalated:
+        ok = scanner.resolve(a[:, j], u_pad[:, j])
+        unresolved += ok is None
         persistent[j] = bool(ok)
-    return persistent, unresolved
+    return persistent, unresolved, 0
 
 
 @lru_cache(maxsize=1)
@@ -496,23 +514,25 @@ def _scanner(n: int, interval: IntervalSpec, step: float) -> _SignScanner | None
 
 def _persistence_block(
     scanner: _SignScanner | None, seed, size: int
-) -> tuple[int, int, int]:
-    """(successes, lifted samples, unresolved samples) of one seeded block:
-    the sieve, the latent scan of the completed survivors, then the lifted
-    columns through classify and _decide."""
+) -> tuple[int, int, int, int]:
+    """(successes, lifted samples, unresolved samples, samples decided by
+    the exact full-axis check) of one seeded block: the sieve, the latent
+    scan of the completed survivors, then the lifted columns through
+    classify and _decide."""
     rng = np.random.default_rng(seed)
     if scanner is None:  # n = 0: f = a_0
-        return int(np.count_nonzero(rng.standard_normal(size) > 0.0)), 0, 0
+        return int(np.count_nonzero(rng.standard_normal(size) > 0.0)), 0, 0, 0
     if scanner.degenerate:  # the event holds vacuously
-        return size, 0, 0
+        return size, 0, 0, 0
     xi = scanner.sieve.draw(rng, size)
     verdicts = scanner.scan(xi)
     successes = int(np.count_nonzero(verdicts == _SignScanner.ACCEPT))
     lifted = np.flatnonzero(verdicts == _SignScanner.ESCALATE)
     z = rng.standard_normal((scanner.n + 1, len(lifted)))
     a = scanner.lift(xi[:, lifted], z)
-    persistent, unresolved = _decide(scanner, a, *scanner.classify(a))
-    return successes + int(np.count_nonzero(persistent)), len(lifted), unresolved
+    persistent, unresolved, exact = _decide(scanner, a, *scanner.classify(a))
+    successes += int(np.count_nonzero(persistent))
+    return successes, len(lifted), unresolved, exact
 
 
 def estimate_persistence(
@@ -541,9 +561,9 @@ def estimate_persistence(
     results = _run_units(
         _scanner, (n, interval, step), _persistence_block, blocks, workers
     )
-    successes, escalated, unresolved = (sum(r) for r in zip(*results))
+    successes, escalated, unresolved, exact = (sum(r) for r in zip(*results))
     return PersistenceEstimate.from_counts(
-        successes, samples, unresolved=unresolved, escalated=escalated
+        successes, samples, unresolved=unresolved, escalated=escalated, exact=exact
     )
 
 
@@ -632,7 +652,7 @@ def _splitting_replicate(scanner: _SignScanner, seed, particles: int) -> _Replic
         proposed += _PCN_STEPS * len(killed)
         spread = min(1.0, spread * math.exp(2.0 * (rate - _PCN_TARGET_ACCEPT)))
     a = scanner.lift(x, rng.standard_normal((scanner.n + 1, particles)))
-    persistent, unresolved = _decide(scanner, a, *scanner.classify(a))
+    persistent, unresolved, _ = _decide(scanner, a, *scanner.classify(a))
     successes = int(np.count_nonzero(persistent))
     p = math.exp(log_weight) * successes / particles
     accept = accepted / proposed if proposed else 0.0

@@ -55,7 +55,10 @@ class PersistenceEstimate(_Interval):
     `unresolved` counts the samples that neither the scan nor the exact
     fallback could decide; they are counted as failures (conservative).
     `escalated` counts the samples the latent scan could not settle, which
-    were lifted to coefficient vectors and decided there.
+    were lifted to coefficient vectors and decided there.  `exact` counts
+    the lifted full-axis samples and games that the batched float
+    certificate (roots.bernstein_verdicts) left undecided, which the exact
+    Fraction path then decided; restricted intervals leave it 0.
     """
 
     successes: int
@@ -65,6 +68,7 @@ class PersistenceEstimate(_Interval):
     ci_high: float
     unresolved: int = 0
     escalated: int = 0
+    exact: int = 0
 
     @classmethod
     def from_counts(
@@ -74,10 +78,18 @@ class PersistenceEstimate(_Interval):
         level: float = 0.95,
         unresolved: int = 0,
         escalated: int = 0,
+        exact: int = 0,
     ) -> "PersistenceEstimate":
         lo, hi = wilson_ci(successes, samples, level)
         return cls(
-            successes, samples, successes / samples, lo, hi, unresolved, escalated
+            successes,
+            samples,
+            successes / samples,
+            lo,
+            hi,
+            unresolved,
+            escalated,
+            exact,
         )
 
     def log_usable(self, floor: int = 10) -> bool:

@@ -16,7 +16,11 @@ from persistlab.games import (
 from persistlab.games import _no_positive_root
 from persistlab.mc import FULL_AXIS, _SignScanner, estimate_persistence
 from persistlab.polys import BinomialPolynomial
-from persistlab.roots import DyadicPolynomial, count_positive_roots
+from persistlab.roots import (
+    DyadicPolynomial,
+    bernstein_verdicts,
+    count_positive_roots,
+)
 
 
 def test_payoff_endpoints():
@@ -202,18 +206,28 @@ def _root_count(n, coeffs):
 )
 def test_latent_rejects_and_exact_verdicts_match_root_counts(players, draws, checked):
     # the exact root count of each lift is the oracle for the latent
-    # sign-change reject, the same-sign accept and the exact path alike;
-    # `checked` caps the oracle calls per kind, which cost 0.25 s at degree 50
+    # sign-change reject, the certified float verdicts and the exact
+    # fallback alike; `checked` caps the oracle calls per kind, which cost
+    # 0.25 s at degree 50
     n = players - 1
     scanner = _SignScanner(n, FULL_AXIS)
     rng = np.random.default_rng(700 + players)
     xi = rng.standard_normal((scanner.rank, draws))
     a = scanner.lift(xi, rng.standard_normal((n + 1, draws)))
     rejected = scanner.sign_change(xi)
+    # the certificate settles every Gaussian lift, and leaves a zero payoff
+    # difference at y = 0 to the exact fallback: lifts with a_0 zeroed,
+    # appended as games the latent scan did not reject, make up that path
+    unsettled = a[:, :checked].copy()
+    unsettled[0] = 0.0
+    a = np.hstack([a, unsettled])
+    rejected = np.concatenate([rejected, np.zeros(checked, dtype=bool)])
     same_sign = (a > 0).all(axis=0) | (a < 0).all(axis=0)
-    kinds = [rejected, ~rejected & same_sign, ~rejected & ~same_sign]
+    certified = bernstein_verdicts(a) != 0
+    kinds = [rejected, ~rejected & certified, ~rejected & ~certified]
     chosen = np.concatenate([np.flatnonzero(k)[:checked] for k in kinds])
-    verdict = _no_positive_root(n, a[:, chosen])
+    verdict, exact = _no_positive_root(n, a[:, chosen])
+    assert exact == np.count_nonzero(~certified[chosen])
     for j, none in zip(chosen, verdict):
         count = _root_count(n, a[:, j])
         assert none == (count == 0)
@@ -221,10 +235,7 @@ def test_latent_rejects_and_exact_verdicts_match_root_counts(players, draws, che
             assert count >= 1
         if same_sign[j]:
             assert none
-    # at players = 2 the exact path is all but empty: a line whose two
-    # coefficients differ in sign changes sign certifiably unless one of
-    # them lies within 1e-10 of zero
-    assert np.any(rejected) and (players == 2 or np.any(kinds[2]))
+    assert all(np.any(k) for k in kinds)
 
 
 @pytest.mark.parametrize("players, samples", [(11, 40_000), (51, 200_000)])

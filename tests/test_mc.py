@@ -446,9 +446,9 @@ def test_splitting_final_stage_uses_scanner_verdicts(monkeypatch):
     final = []
 
     def recording_decide(scanner, a, verdicts, u_pad):
-        persistent, unresolved = decide(scanner, a, verdicts, u_pad)
+        persistent, *counts = decide(scanner, a, verdicts, u_pad)
         final.append((a, persistent))
-        return persistent, unresolved
+        return persistent, *counts
 
     decide = mc._decide
     monkeypatch.setattr(mc, "_decide", recording_decide)
@@ -545,6 +545,43 @@ def test_fixed_seed_outputs_are_pinned(workers):
     )
     game = prob_no_internal_equilibria(5, 20_000, seed=55, workers=workers)
     assert (game.successes, game.escalated) == (4409, 4419)
+    # every lifted game and full-axis sample here gets a certified verdict
+    assert (full.exact, game.exact) == (0, 0)
+    # counts from the release that decided every lifted game in Fractions:
+    # the certified float verdicts must not change one of them
+    games = {
+        players: prob_no_internal_equilibria(
+            players, samples, seed=players, workers=workers
+        )
+        for players, samples in ((2, 20_000), (3, 20_000), (11, 20_000), (51, 100_000))
+    }
+    assert {p: (g.successes, g.escalated) for p, g in games.items()} == {
+        2: (9977, 9977),
+        3: (7439, 7450),
+        11: (1570, 1582),
+        51: (202, 205),
+    }
+
+
+def test_full_axis_decide_sends_undecided_columns_to_exact_check():
+    # a_0 = 0 leaves the Bernstein certificate undecided, so those two
+    # columns reach is_persistent; the others get certified verdicts
+    a = np.array(
+        [
+            [0.0, 0.0, 1.0, -1.0, 1.0],
+            [1.0, -1.0, 1.0, -1.0, -3.0],
+            [1.0, 1.0, 1.0, -1.0, 1.0],
+            [1.0, 1.0, 1.0, -1.0, 1.0],
+            [1.0, 1.0, 1.0, -1.0, 1.0],
+        ]
+    )
+    verdicts = np.full(a.shape[1], _SignScanner.ESCALATE, dtype=np.int8)
+    persistent, unresolved, exact = mc._decide(
+        _SignScanner(4, FULL_AXIS), a, verdicts, None
+    )
+    expected = [is_persistent(BinomialPolynomial(4, a[:, j])) for j in range(5)]
+    assert persistent.tolist() == expected == [True, False, True, False, False]
+    assert (unresolved, exact) == (0, 2)
 
 
 def test_cached_scanner_is_read_only():

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persistlab.polys import BinomialPolynomial, sample_polynomial
 from persistlab.roots import (
     DyadicPolynomial,
+    bernstein_verdicts,
     build_chain,
     count_positive_roots,
     count_roots_in,
@@ -250,3 +253,109 @@ def test_isolation_matches_eigenvalue_roots():
         )
         assert len(got) == len(ref)
         assert got == pytest.approx(ref, abs=1e-7)
+
+
+# --- batched Bernstein certificate against the exact path ---
+
+certificate_settings = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+def checked_verdicts(a):
+    """bernstein_verdicts of the columns of a, each decided verdict checked
+    against no_positive_roots and is_persistent."""
+    n = len(a) - 1
+    verdicts = bernstein_verdicts(a)
+    for j, verdict in enumerate(verdicts):
+        p = BinomialPolynomial(n, a[:, j])
+        if verdict != 0:
+            none = no_positive_roots(DyadicPolynomial.from_binomial(p))
+            assert none == (verdict > 0), (verdict, a[:, j])
+            assert is_persistent(p) == (verdict > 0 and a[0, j] > 0)
+    return verdicts
+
+
+@certificate_settings
+@given(
+    n=st.integers(1, 150),
+    offset=st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+    power=st.sampled_from([600, -600]),
+)
+def test_certificate_matches_exact_on_gaussian_columns(n, offset, seed, power):
+    # offset columns are mostly positive, so many need deep bisection
+    a = offset + np.random.default_rng(seed).standard_normal((n + 1, 3))
+    verdicts = checked_verdicts(a)
+    # scaling by a power of two is exact and moves no root
+    assert np.array_equal(bernstein_verdicts(a * 2.0**power), verdicts)
+
+
+@certificate_settings
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    exponents=st.lists(st.integers(-1070, 1000), min_size=9, max_size=9),
+)
+def test_certificate_matches_exact_across_exponent_range(n, seed, exponents):
+    # the small coefficients underflow when a column is scaled to [1, 2)
+    g = np.random.default_rng(seed).standard_normal((n + 1, 2))
+    checked_verdicts(np.ldexp(g, np.array(exponents[: n + 1])[:, None]))
+
+
+@certificate_settings
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.lists(st.booleans(), min_size=41, max_size=41),
+    first=st.booleans(),
+    last=st.booleans(),
+)
+def test_certificate_with_exact_zero_coefficients(n, seed, zeros, first, last):
+    a = np.random.default_rng(seed).standard_normal((n + 1, 3))
+    a[np.array(zeros[: n + 1])] = 0.0
+    if first:
+        a[0] = 0.0
+    if last:
+        a[-1] = 0.0
+    verdicts = checked_verdicts(np.hstack([a, np.zeros((n + 1, 1))]))
+    assert verdicts[-1] == 0  # the zero polynomial is left to the exact path
+    assert np.all(verdicts[:-1][a[0] == 0.0] == 0)
+
+
+@certificate_settings
+@given(
+    log_n=st.integers(1, 4),
+    root=st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]),
+    tail=st.lists(st.integers(-4, 4), min_size=15, max_size=15),
+)
+def test_certificate_never_clears_a_double_root(log_n, root, tail):
+    # choose a_2..a_n, then a_1 and a_0 so that p(r) = p'(r) = 0; with n a
+    # power of two and r dyadic they are dyadic, and exact in floats here
+    n = 2**log_n
+    r = Fraction(root)
+    a = [Fraction(0), Fraction(0)] + [Fraction(v) for v in tail[: n - 1]]
+    a[1] = -sum(k * math.comb(n, k) * a[k] * r ** (k - 1) for k in range(2, n + 1)) / n
+    a[0] = -sum(math.comb(n, k) * a[k] * r**k for k in range(1, n + 1))
+    assert all(Fraction(float(v)) == v for v in a)
+    column = np.array([[float(v)] for v in a])
+    assert checked_verdicts(column)[0] != 1
+
+
+@certificate_settings
+@given(
+    n=st.integers(1, 30),
+    tail=st.lists(st.integers(-8, 8), min_size=30, max_size=30),
+)
+def test_certificate_never_clears_a_root_at_one(n, tail):
+    # x = 1 is y = 1/2, the first midpoint of the bisection
+    a = [0] + tail[:n]
+    a[0] = -sum(math.comb(n, k) * a[k] for k in range(1, n + 1))
+    column = np.array(a, dtype=float)[:, None]
+    assert checked_verdicts(column)[0] != 1
+
+
+def test_certificate_rejects_malformed_blocks():
+    with pytest.raises(ValueError, match="finite"):
+        bernstein_verdicts(np.array([[1.0], [np.inf]]))
+    with pytest.raises(ValueError, match="block"):
+        bernstein_verdicts(np.ones(3))
+    assert bernstein_verdicts(np.ones((4, 0))).shape == (0,)
