@@ -24,13 +24,13 @@ estimate_survival runs on the engine mc's plain Monte Carlo uses
 the call's seed, drawn in two stages on the path factor G (the series
 factor, or the Cholesky factor for method="factor").  An engine.Sieve first
 draws the values L eta at grid points at least 2.5 apart in t (2 rows at
-T = 3, 5 at T = 12, at most 10) and rejects every path negative there, up
-to the rounding bound rho; only the survivors are completed to a full
-N(0, I_r) vector xi, and the verdict min(G xi) > 0 on the whole grid is
-unchanged.  Over T = 3..12 a path costs about 57 normals instead of 181,
-and estimate_exponent over those horizons at 5 * 10^4 paths each draws
-5.2M paths/s against 1.87M when every path was drawn at full rank
-(perfbench's gp-exponent, medians of 10 runs, 2-vCPU x86-64 VM).
+T = 3, 5 at T = 12, at most 10), row by row and each row only for the paths
+still positive on the rows before it, and rejects every path negative
+there, up to the rounding bound rho; only the survivors are completed to a
+full N(0, I_r) vector xi, and the verdict min(G xi) > 0 on the whole grid
+is unchanged.  Summed over T = 3..12 a path costs 39.2 normals (18.3 sieve
+normals and 20.9 for the completions), against 56.8 when every sieve row was
+drawn for every path (36.0 sieve normals) and 181 at full rank.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln, pdtrc
 
-from .engine import Sieve, _blocks, _derive_seed, _run_units, latent_factor
+from .engine import Sieve, _blocks, _derive_seed, _kept, _run_units, latent_factor
 from .stats import PersistenceEstimate
 
 __all__ = [
@@ -64,6 +64,9 @@ __all__ = [
 
 SERIES_TAIL_TOL = 1e-12
 MAX_JITTER = 1e-8
+# bytes of survival states _survival_state keeps: 241 x 105 at T = 60 is
+# 0.2 MB, so a fit's dozens of horizons fit
+_STATE_CACHE_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -212,18 +215,22 @@ def cholesky_with_escalation(
             j = min(j * 10.0, max_jitter)
 
 
+@_kept(_STATE_CACHE_BYTES)
 def _survival_state(
     kernel: GaussianKernel, horizon: float, step: float, method: str
 ) -> tuple[np.ndarray, Sieve]:
     """The path factor G (grid x r) of estimate_survival's method and its
     sieve; a path survives when every grid value is positive, so a sieve row
-    rejects below 0."""
+    rejects below 0.  Built once per process for each (kernel, horizon,
+    step, method) while it stays in the cache, which holds every horizon of
+    an exponent fit; the arrays are read-only."""
     times = grid_times(horizon, step)
     if method == "series":
         truncation = required_truncation(kernel, horizon)
         factor = _series_factor(kernel, horizon, step, truncation)
     else:
         factor, _ = cholesky_with_escalation(kernel, times)
+    factor.flags.writeable = False
     return factor, Sieve(factor, times, 0.0)
 
 

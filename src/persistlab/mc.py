@@ -45,14 +45,15 @@ unchanged.
 Determinism: plain Monte Carlo (and games) draw in blocks of
 engine._BATCH samples, block b seeded from SeedSequence(seed).spawn(B)[b],
 and splitting replicate r from (seed, n, interval, r).  A plain-MC block
-draws the sieve normals eta first, then w for the sieve's survivors, then z
-for the columns the scan lifts.  Workers take contiguous ranges of these
-units and results are summed in unit order (engine._run_units), so every
-estimate is reproducible bit-for-bit from the seed alone, at any worker
-count.  Workers are forked (on Linux, whatever the default start method)
-once per process and reused by later calls (_pool); they keep the module
-state they were forked with, so a monkeypatch of this module made after the
-first pooled call does not reach them.
+draws the sieve normals eta row by row (row j for the columns rows 0..j-1
+kept), then w for the sieve's survivors, then z for the columns the scan
+lifts.  Workers take contiguous ranges of these units and results are
+summed in unit order (engine._run_units), so every estimate is
+reproducible bit-for-bit from the seed alone, at any worker count.
+Workers are forked (on Linux, whatever the default start method) once per
+process and reused by later calls (_pool); they keep the module state they
+were forked with, so a monkeypatch of this module made after the first
+pooled call does not reach them.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -70,6 +70,7 @@ from .engine import (  # _pool, _drop_pool: the pool, under mc's names too
     _blocks,
     _derive_seed,
     _drop_pool,
+    _kept,
     _pool,
     _run_units,
     latent_factor,
@@ -120,6 +121,9 @@ _W_MAX_ELEMENTS = 15_000_000  # largest weight matrix a scanner builds
 _MARGIN_U = 1e-4  # largest latent row residual margin, in normalized units
 _PRUNE_REL = 1e-16  # columns below this fraction of every row's peak weight drop
 _FLOAT_SLACK = 1e-3  # tau units; covers the rounding of the scan and the lift
+# bytes of scanner arrays _scanner keeps: all of a game sweep's scanners,
+# but a full-axis scanner from n ~ 3000 on (23 MB) alone
+_SCANNER_CACHE_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -503,12 +507,14 @@ def _decide(
     return persistent, unresolved, 0
 
 
-@lru_cache(maxsize=1)
+@_kept(_SCANNER_CACHE_BYTES)
 def _scanner(n: int, interval: IntervalSpec, step: float) -> _SignScanner | None:
     """The block state of every estimate (None at degree 0), built once per
-    process for consecutive calls with the same (n, interval, step).  One
-    entry bounds the memory to one scanner (about 100 MB at n = 10^4 on the
-    full axis); its arrays are read-only."""
+    process for each (n, interval, step) while it stays in the cache.  The
+    cache holds _SCANNER_CACHE_BYTES of scanner arrays, so games over several
+    player counts keep all their scanners, while a large-n sweep holds one
+    scanner at a time (about 100 MB at n = 10^4 on the full axis); the
+    arrays are read-only."""
     return _SignScanner(n, interval, step) if n else None
 
 

@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from scipy.stats import norm, t as student_t
 
 __all__ = ["PersistenceEstimate", "SplittingEstimate", "wilson_ci"]
+
+
+@lru_cache(maxsize=16)
+def _z(level: float) -> float:
+    """The two-sided normal quantile of a confidence level, computed once
+    per level: norm.ppf costs about 0.1 ms a call."""
+    return float(norm.ppf(0.5 + level / 2.0))
 
 
 def wilson_ci(successes: int, samples: int, level: float = 0.95) -> tuple[float, float]:
@@ -18,7 +26,7 @@ def wilson_ci(successes: int, samples: int, level: float = 0.95) -> tuple[float,
         raise ValueError(f"successes {successes} outside 0..{samples}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level!r}")
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = _z(level)
     phat = successes / samples
     z2 = z * z
     denom = 1.0 + z2 / samples

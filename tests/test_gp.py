@@ -223,6 +223,28 @@ def test_survival_sieve_property(horizon, step, method, seed):
     _check_sieve(g, sieve, np.random.default_rng(seed), 2000)
 
 
+@pytest.mark.parametrize("horizon", [3.0, 12.0])
+def test_survival_sieve_row_by_row_keeps_the_columns_passes_keeps(horizon):
+    # on the same normals, sift keeps exactly the columns the all-rows
+    # predicate keeps
+    _, sieve = _survival_state(DEFAULT_KERNEL, horizon, 0.25, "series")
+    eta = np.random.default_rng(int(horizon)).standard_normal((len(sieve.rows), 20_000))
+    kept, alive = sieve.sift(eta.shape[1], lambda j, cols: eta[j, cols])
+    np.testing.assert_array_equal(alive, np.flatnonzero(sieve.passes(eta)))
+    np.testing.assert_array_equal(kept, eta[:, alive])
+    assert 0 < len(alive) < eta.shape[1]
+
+
+def test_survival_states_are_cached_and_read_only():
+    horizons = [float(t) for t in range(3, 13)]
+    states = [_survival_state(DEFAULT_KERNEL, t, 0.25, "series") for t in horizons]
+    for t, state in zip(horizons, states):
+        assert _survival_state(DEFAULT_KERNEL, t, 0.25, "series") is state
+    g, _ = states[-1]
+    with pytest.raises(ValueError):
+        g[0, 0] = 0.0
+
+
 def _unsieved_survivors(g, samples, seed):
     """Paths G z, z ~ N(0, I_r), with min over the grid > 0: the sampler
     before the sieve, drawn in chunks."""

@@ -324,6 +324,28 @@ def test_latent_scan_agrees_with_classify_on_lifts(n, kind):
     np.testing.assert_allclose(back, a, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n, kind", [(144, "full"), (10**4, "low"), (36, "main")])
+def test_sieve_row_by_row_keeps_the_columns_passes_keeps(n, kind):
+    # on the same normals, sift asks only for the rows of live columns and
+    # keeps exactly the columns the all-rows predicate keeps
+    sieve = mc._scanner(n, IntervalSpec(kind), 0.25).sieve
+    eta = np.random.default_rng(n).standard_normal((len(sieve.rows), 20_000))
+    asked = np.zeros(eta.shape, dtype=bool)
+
+    def row(j, alive):
+        asked[j, alive] = True
+        return eta[j, alive]
+
+    kept, alive = sieve.sift(eta.shape[1], row)
+    np.testing.assert_array_equal(alive, np.flatnonzero(sieve.passes(eta)))
+    np.testing.assert_array_equal(kept, eta[:, alive])
+    assert 0 < len(alive) < eta.shape[1]
+    # row j is asked for the columns rows 0..j-1 keep, and no others
+    y = sieve.l @ eta >= -sieve.thr[:, None]
+    live = np.cumprod(np.vstack([np.ones(eta.shape[1], dtype=bool), y[:-1]]), axis=0)
+    np.testing.assert_array_equal(asked, live.astype(bool))
+
+
 def test_sieve_completion_is_standard_normal():
     # xi = Q_S eta + (I - Q_S Q_S^T) w is N(0, I_r): over 10^5 completions
     # each mean is within 5 standard errors of 0 and each covariance entry
@@ -529,12 +551,13 @@ def test_splitting_overlaps_plain_mc(n):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_fixed_seed_outputs_are_pinned(workers):
-    # counts from the release before the seeded-block code moved to
-    # engine.py: the move must not change a draw of mc or games
+    # plain-MC counts from the release that draws the sieve row by row;
+    # splitting and games counts from the release before the seeded-block
+    # code moved to engine.py: later changes must not change a draw
     full = estimate_persistence(144, FULL_AXIS, 400_000, seed=1441, workers=workers)
-    assert (full.successes, full.escalated, full.unresolved) == (5, 6, 0)
+    assert (full.successes, full.escalated, full.unresolved) == (3, 5, 0)
     low = estimate_persistence(100, LOW_INTERVAL, 20_000, seed=1001, workers=workers)
-    assert (low.successes, low.escalated, low.unresolved) == (354, 82, 0)
+    assert (low.successes, low.escalated, low.unresolved) == (354, 77, 0)
     split = estimate_persistence_splitting(
         36, LOW_INTERVAL, replicates=2, seed=36, workers=workers
     )
@@ -561,6 +584,36 @@ def test_fixed_seed_outputs_are_pinned(workers):
         11: (1570, 1582),
         51: (202, 205),
     }
+
+
+def _unsieved_successes(scanner, samples, seed):
+    """Persistent samples of the sampler without the sieve: full-rank xi,
+    the latent scan, then the lifted columns through classify and _decide,
+    drawn in chunks."""
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for lo in range(0, samples, 100_000):
+        xi = rng.standard_normal((scanner.rank, min(100_000, samples - lo)))
+        verdicts = scanner.scan(xi)
+        hits += int(np.count_nonzero(verdicts == _SignScanner.ACCEPT))
+        lifted = np.flatnonzero(verdicts == _SignScanner.ESCALATE)
+        z = rng.standard_normal((scanner.n + 1, len(lifted)))
+        a = scanner.lift(xi[:, lifted], z)
+        hits += int(np.count_nonzero(mc._decide(scanner, a, *scanner.classify(a))[0]))
+    return hits
+
+
+@pytest.mark.slow
+def test_sieved_persistence_matches_unsieved_reference():
+    # two-sample z on 10^6 samples each; |z| < 4 is a two-sided alpha of
+    # 6.3e-5, and it detects a relative bias in p (about 0.018) of about 4%.
+    # About 35 s: each side settles some 4000 lifted samples one by one
+    samples = 1_000_000
+    est = estimate_persistence(100, LOW_INTERVAL, samples, seed=1002)
+    ref = _unsieved_successes(mc._scanner(100, LOW_INTERVAL, 0.25), samples, 1003)
+    pooled = (est.successes + ref) / (2 * samples)
+    z = (est.successes - ref) / math.sqrt(2 * samples * pooled * (1 - pooled))
+    assert abs(z) < 4.0, (est.successes, ref, z)
 
 
 def test_full_axis_decide_sends_undecided_columns_to_exact_check():
@@ -594,6 +647,35 @@ def test_cached_scanner_is_read_only():
         assert not getattr(scanner, name).flags.writeable, name
     for name in ("rows", "l", "q", "rho", "thr"):
         assert not getattr(scanner.sieve, name).flags.writeable, name
+
+
+def test_kept_cache_evicts_least_recently_used():
+    built = []
+
+    @engine._kept(3 * np.zeros(10).nbytes)
+    def build(k):
+        built.append(k)
+        return np.zeros(10)
+
+    for k in (0, 1, 2, 0, 3):  # 3 evicts 1, the least recently used
+        build(k)
+    for k in (0, 2, 1):  # 1 is rebuilt and evicts 3
+        build(k)
+    assert built == [0, 1, 2, 3, 1]
+    assert engine._nbytes((np.zeros(3), [np.zeros(2)], None)) == 40
+
+
+def test_scanner_cache_keeps_small_scanners_until_a_large_one():
+    # a game sweep's scanners stay cached together; a scanner over the byte
+    # budget evicts them all and is kept alone
+    mc._scanner.cache_clear()
+    small = {n: mc._scanner(n, FULL_AXIS, 0.25) for n in (1, 2, 3, 4)}
+    assert all(mc._scanner(n, FULL_AXIS, 0.25) is s for n, s in small.items())
+    large = mc._scanner(3000, FULL_AXIS, 0.25)
+    assert engine._nbytes(large) > mc._SCANNER_CACHE_BYTES
+    assert mc._scanner(3000, FULL_AXIS, 0.25) is large
+    assert all(mc._scanner(n, FULL_AXIS, 0.25) is not s for n, s in small.items())
+    mc._scanner.cache_clear()
 
 
 COLD_WARM_CALLS = {

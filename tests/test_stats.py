@@ -1,7 +1,9 @@
 import math
 
 import pytest
+from scipy.stats import norm
 
+from persistlab import stats
 from persistlab.stats import PersistenceEstimate, SplittingEstimate, wilson_ci
 
 
@@ -80,3 +82,10 @@ def test_splitting_estimate_from_replicates():
     assert (zero.ci_low, zero.ci_high) == (0.0, 1.0) and not zero.log_usable()
     with pytest.raises(ValueError):
         SplittingEstimate.from_replicates([1e-3], 500, 10, 400, 0)
+
+
+def test_wilson_quantile_is_memoized_exactly():
+    # the cached z is the float norm.ppf gives, so intervals do not move
+    for level in (0.9, 0.95, 0.99):
+        assert stats._z(level) == float(norm.ppf(0.5 + level / 2.0))
+        assert stats._z(level) is stats._z(level)
