@@ -10,12 +10,17 @@ xi ~ N(0, I_r):
   one row at a time, before the rest of xi is drawn;
 * _blocks, _run_units and _pool run seeded blocks of samples, optionally
   on a process pool, so every estimate is bit-identical from its seed at
-  any worker count.
+  any worker count.  A unit is a group of up to _GROUP consecutive blocks
+  that mc and games decide in one vectorized pass: each block draws from
+  its own generator exactly the normals it would draw alone (_group,
+  _columns, Sieve.draw), and every verdict after the draw is per column,
+  so grouping changes no count.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import multiprocessing
 import os
@@ -31,6 +36,7 @@ import numpy as np
 # eigensolvers
 _PEAK_TIE = 1e-6
 _BATCH = 4096  # samples per seeded block
+_GROUP = 4  # most seeded blocks per unit, decided in one pass
 _SIEVE_ROWS = 10  # most rows a sieve draws before the rest
 _SIEVE_GAP = 2.5  # least t between sieve rows (limit correlation e^(-gap^2/4))
 
@@ -91,13 +97,13 @@ class Sieve:
     nearly independent in the limit, decide most of them: the sieve draws
     only y_S = L eta, eta ~ N(0, I_s), with L = chol(G_S G_S^T), and rejects
     a column with some y_S,j < -thr_j.  L is lower triangular, so y_S,j
-    needs eta_0..j only: draw() asks rng for eta_0 for every column, then
-    for each eta_j only for the columns rows 0..j-1 kept (sift), then for w
-    for the survivors; each row keeps about half the columns, so a column
-    costs about 2 sieve normals instead of s (2.15 at mc's n = 144 on the
-    full axis, 2.0 at n = 10^4 on the low interval).  The reject predicate
-    is the same as on a whole draw (passes), so the survivors' (eta, w)
-    have the same law.  The survivors are completed to
+    needs eta_0..j only: draw() asks each block's generator for eta_0 for
+    every column, then for each eta_j only for the columns rows 0..j-1 kept
+    (sift), then for w for the survivors; each row keeps about half the
+    columns, so a column costs about 2 sieve normals instead of s (2.15 at
+    mc's n = 144 on the full axis, 2.0 at n = 10^4 on the low interval).
+    The reject predicate is the same as on a whole draw (passes), so the
+    survivors' (eta, w) have the same law.  The survivors are completed to
     xi = Q_S eta + (I - Q_S Q_S^T) w, w ~ N(0, I_r), with Q_S = G_S^T L^-T,
     whose columns are orthonormal: xi is N(0, I_r) and G_S xi = L eta.  In
     float, |G_S xi - L eta|_j <= rho_j while |eta| <= sqrt(s) + 10 and
@@ -150,18 +156,19 @@ class Sieve:
     def sift(self, size: int, row) -> tuple[np.ndarray, np.ndarray]:
         """passes() row by row on `size` columns, asking for each eta_j only
         where it is needed: L is lower triangular, so (L eta)_j needs
-        eta_0..j alone.  row(j, alive) gives eta_j for the columns alive
-        (indices into 0..size-1) that rows 0..j-1 kept, and row j keeps
-        those with (L eta)_j >= -thr_j.  Returns the survivors' eta (s, m)
-        and their indices.  A sum of j + 1 terms rounds within rho's gamma,
-        so the kept columns are the ones passes() keeps on the same eta."""
+        eta_0..j alone.  row(j, alive, out) writes into out eta_j for the
+        columns alive (indices into 0..size-1, increasing) that rows
+        0..j-1 kept, and row j keeps those with (L eta)_j >= -thr_j.
+        Returns the survivors' eta (s, m) and their indices.  A sum of
+        j + 1 terms rounds within rho's gamma, so the kept columns are the
+        ones passes() keeps on the same eta."""
         eta = np.empty((len(self.rows), size))
         alive = np.arange(size)
         for j, thr in enumerate(self.thr):
             m = len(alive)
             if m == 0:
                 break
-            eta[j, :m] = row(j, alive)
+            row(j, alive, eta[j, :m])
             keep = np.dot(self.l[j, : j + 1], eta[: j + 1, :m]) >= -thr
             alive = alive.compress(keep)
             eta[: j + 1, : len(alive)] = eta[: j + 1, :m].compress(keep, axis=1)
@@ -173,12 +180,39 @@ class Sieve:
         independent, xi ~ N(0, I_r)."""
         return w + self.q @ (eta - self.q.T @ w)
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """The completed latent columns (r, survivors) of `size` samples:
-        rng draws eta row by row, each row for the columns still alive
-        (sift), then w for the survivors."""
-        eta, _ = self.sift(size, lambda j, alive: rng.standard_normal(len(alive)))
-        return self.complete(eta, rng.standard_normal((self.q.shape[0], eta.shape[1])))
+    def draw(self, rngs, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The completed latent columns (r, survivors) of a group of blocks
+        (_group: block b is columns edges[b]:edges[b+1]) and the edges of
+        each block's survivors among them.  rngs[b] draws block b's normals
+        as it would alone: eta row by row, each row for the block's columns
+        still alive (sift), then w for its survivors; a block with no
+        column alive draws nothing more."""
+
+        def row(j, alive, out):
+            cut = alive.searchsorted(edges)
+            for rng, lo, hi in zip(rngs, cut, cut[1:]):
+                rng.standard_normal(out=out[lo:hi])
+
+        eta, alive = self.sift(int(edges[-1]), row)
+        cut = alive.searchsorted(edges)
+        return self.complete(eta, _columns(rngs, self.q.shape[0], cut)), cut
+
+
+def _group(blocks) -> tuple[list[np.random.Generator], np.ndarray]:
+    """The generators of a unit's blocks (seed, size) and the block edges of
+    the unit's columns: block b is columns edges[b]:edges[b+1]."""
+    rngs = [np.random.default_rng(seed) for seed, _ in blocks]
+    return rngs, np.array([0, *itertools.accumulate(size for _, size in blocks)])
+
+
+def _columns(rngs, rows: int, edges) -> np.ndarray:
+    """Normals (rows, edges[-1]) whose columns edges[b]:edges[b+1] are
+    rngs[b].standard_normal((rows, edges[b+1] - edges[b])); a block with no
+    columns leaves its generator as it was."""
+    parts = zip(rngs, edges, edges[1:])
+    return np.concatenate(
+        [rng.standard_normal((rows, hi - lo)) for rng, lo, hi in parts], axis=1
+    )
 
 
 def _nbytes(value) -> int:
@@ -301,7 +335,7 @@ def _run_units(build, args, run, units: list, workers: int) -> list:
     whose workers are forked once per process and reused, so a cached build
     (mc._scanner) is paid once per worker, not once per call; they keep the
     module state they were forked with.  If the kept pool is broken (a
-    worker died), the call runs once more on a fresh pool.  Every unit
+    worker died), the call runs once more on a fresh pool.  Every block
     carries its own seed, so the results do not depend on workers, nor on
     which worker ran which slice."""
     k = min(workers, len(units))
@@ -324,10 +358,13 @@ def _run_units(build, args, run, units: list, workers: int) -> list:
 
 
 def _blocks(seed, samples: int) -> list[tuple]:
-    """Units (seed, size) of _BATCH samples each, the last one shorter;
-    block b is seeded from SeedSequence(seed).spawn(B)[b]."""
+    """Units of up to _GROUP consecutive blocks (seed, size), each block of
+    _BATCH samples, the last one shorter; block b is seeded from
+    SeedSequence(seed).spawn(B)[b] whatever unit it falls in, and
+    _run_units calls run(state, *blocks) on each unit."""
     sizes = [min(_BATCH, samples - lo) for lo in range(0, samples, _BATCH)]
-    return list(zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes))
+    blocks = list(zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes))
+    return [tuple(blocks[lo : lo + _GROUP]) for lo in range(0, len(blocks), _GROUP)]
 
 
 def _derive_seed(seed, *tags: int) -> tuple:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _blocks, _run_units
+from .engine import _blocks, _columns, _group, _run_units
 from .mc import FULL_AXIS, _SignScanner, _scanner
 from .polys import BinomialPolynomial
 from .roots import (
@@ -171,17 +171,18 @@ def _no_positive_root(n: int, a: np.ndarray) -> tuple[np.ndarray, int]:
     return none, len(fallback)
 
 
-def _no_equilibria_block(
-    scanner: _SignScanner, seed, size: int
-) -> tuple[int, int, int]:
+def _no_equilibria_block(scanner: _SignScanner, *blocks) -> tuple[int, int, int]:
     """(games with no internal equilibrium, lifted games, games decided by
-    the exact check) of one seeded block: the scanner's latent sign-change
-    rule rejects games with a certain root, the rest are lifted to payoff
-    differences and decided by _no_positive_root."""
-    rng = np.random.default_rng(seed)
-    xi = rng.standard_normal((scanner.rank, size))
+    the exact check) of a unit of seeded blocks (seed, size), decided in
+    one pass: the scanner's latent sign-change rule rejects games with a
+    certain root, the rest are lifted to payoff differences and decided by
+    _no_positive_root.  Each block's generator draws its xi and then z for
+    its own lifted games, as the block would alone, and every verdict is
+    per game, so the counts are the sums of the blocks' own."""
+    rngs, edges = _group(blocks)
+    xi = _columns(rngs, scanner.rank, edges)
     lifted = np.flatnonzero(~scanner.sign_change(xi))
-    z = rng.standard_normal((scanner.n + 1, len(lifted)))
+    z = _columns(rngs, scanner.n + 1, np.searchsorted(lifted, edges))
     a = scanner.lift(xi[:, lifted], z)
     none, exact = _no_positive_root(scanner.n, a)
     return int(np.count_nonzero(none)), len(lifted), exact

@@ -22,13 +22,15 @@ the series already accepts.  At grid step 0.25, r runs from 10 (T = 3, K + 1 = 2
 estimate_survival runs on the engine mc's plain Monte Carlo uses
 (engine._blocks, engine._run_units): blocks of 4096 paths, each seeded from
 the call's seed, drawn in two stages on the path factor G (the series
-factor, or the Cholesky factor for method="factor").  An engine.Sieve first
-draws the values L eta at grid points at least 2.5 apart in t (2 rows at
-T = 3, 5 at T = 12, at most 10), row by row and each row only for the paths
-still positive on the rows before it, and rejects every path negative
-there, up to the rounding bound rho; only the survivors are completed to a
-full N(0, I_r) vector xi, and the verdict min(G xi) > 0 on the whole grid
-is unchanged.  Summed over T = 3..12 a path costs 39.2 normals (18.3 sieve
+factor, or the Cholesky factor for method="factor").  Unlike mc and games,
+which decide a unit of up to four blocks in one pass, gp runs a unit's
+blocks one at a time (_survival_block).  An engine.Sieve first draws the
+values L eta at grid points at least 2.5 apart in t (2 rows at T = 3, 5 at
+T = 12, at most 10), row by row and each row only for the paths still
+positive on the rows before it, and rejects every path negative there, up
+to the rounding bound rho; only the survivors are completed to a full
+N(0, I_r) vector xi, and the verdict min(G xi) > 0 on the whole grid is
+unchanged.  Summed over T = 3..12 a path costs 39.2 normals (18.3 sieve
 normals and 20.9 for the completions), against 56.8 when every sieve row was
 drawn for every path (36.0 sieve normals) and 181 at full rank.
 """
@@ -42,7 +44,15 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln, pdtrc
 
-from .engine import Sieve, _blocks, _derive_seed, _kept, _run_units, latent_factor
+from .engine import (
+    Sieve,
+    _blocks,
+    _derive_seed,
+    _group,
+    _kept,
+    _run_units,
+    latent_factor,
+)
 from .stats import PersistenceEstimate
 
 __all__ = [
@@ -234,12 +244,17 @@ def _survival_state(
     return factor, Sieve(factor, times, 0.0)
 
 
-def _survival_block(state: tuple[np.ndarray, Sieve], seed, size: int) -> int:
-    """Surviving paths of one seeded block: the sieve, then the exact grid
-    verdict min(G xi) > 0 on the completed survivors."""
+def _survival_block(state: tuple[np.ndarray, Sieve], *blocks) -> int:
+    """Surviving paths of a unit of seeded blocks (seed, size), one block
+    at a time: the sieve, then the exact grid verdict min(G xi) > 0 on the
+    completed survivors.  Drawing normals bounds a block, so gp gains
+    nothing from one pass over the unit."""
     factor, sieve = state
-    xi = sieve.draw(np.random.default_rng(seed), size)
-    return int(np.count_nonzero((factor @ xi).min(axis=0) > 0.0))
+    survivors = 0
+    for block in blocks:
+        xi, _ = sieve.draw(*_group([block]))
+        survivors += int(np.count_nonzero((factor @ xi).min(axis=0) > 0.0))
+    return survivors
 
 
 def estimate_survival(

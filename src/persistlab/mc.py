@@ -47,9 +47,13 @@ engine._BATCH samples, block b seeded from SeedSequence(seed).spawn(B)[b],
 and splitting replicate r from (seed, n, interval, r).  A plain-MC block
 draws the sieve normals eta row by row (row j for the columns rows 0..j-1
 kept), then w for the sieve's survivors, then z for the columns the scan
-lifts.  Workers take contiguous ranges of these units and results are
-summed in unit order (engine._run_units), so every estimate is
-reproducible bit-for-bit from the seed alone, at any worker count.
+lifts.  Up to engine._GROUP consecutive blocks form one unit, decided in
+one vectorized pass (_persistence_block): each block still draws from its
+own generator the same normals in the same order as alone, and every
+verdict is per column, so the unit's counts are its blocks' sums.  Workers
+take contiguous ranges of these units and results are summed in unit order
+(engine._run_units), so every estimate is reproducible bit-for-bit from
+the seed alone, at any worker count.
 Workers are forked (on Linux, whatever the default start method) once per
 process and reused by later calls (_pool); they keep the module state they
 were forked with, so a monkeypatch of this module made after the first
@@ -68,8 +72,10 @@ import numpy as np
 from .engine import (  # _pool, _drop_pool: the pool, under mc's names too
     Sieve,
     _blocks,
+    _columns,
     _derive_seed,
     _drop_pool,
+    _group,
     _kept,
     _pool,
     _run_units,
@@ -519,22 +525,25 @@ def _scanner(n: int, interval: IntervalSpec, step: float) -> _SignScanner | None
 
 
 def _persistence_block(
-    scanner: _SignScanner | None, seed, size: int
+    scanner: _SignScanner | None, *blocks
 ) -> tuple[int, int, int, int]:
     """(successes, lifted samples, unresolved samples, samples decided by
-    the exact full-axis check) of one seeded block: the sieve, the latent
-    scan of the completed survivors, then the lifted columns through
-    classify and _decide."""
-    rng = np.random.default_rng(seed)
+    the exact full-axis check) of a unit of seeded blocks (seed, size),
+    decided in one pass: the sieve, the latent scan of the completed
+    survivors, then the lifted columns through classify and _decide.  Each
+    block's generator draws its sieve normals, w and then z for its own
+    lifted columns, as the block would alone, and every verdict is per
+    column, so the counts are the sums of the blocks' own."""
+    rngs, edges = _group(blocks)
     if scanner is None:  # n = 0: f = a_0
-        return int(np.count_nonzero(rng.standard_normal(size) > 0.0)), 0, 0, 0
+        return int(np.count_nonzero(_columns(rngs, 1, edges) > 0.0)), 0, 0, 0
     if scanner.degenerate:  # the event holds vacuously
-        return size, 0, 0, 0
-    xi = scanner.sieve.draw(rng, size)
+        return int(edges[-1]), 0, 0, 0
+    xi, cut = scanner.sieve.draw(rngs, edges)
     verdicts = scanner.scan(xi)
     successes = int(np.count_nonzero(verdicts == _SignScanner.ACCEPT))
     lifted = np.flatnonzero(verdicts == _SignScanner.ESCALATE)
-    z = rng.standard_normal((scanner.n + 1, len(lifted)))
+    z = _columns(rngs, scanner.n + 1, np.searchsorted(lifted, cut))
     a = scanner.lift(xi[:, lifted], z)
     persistent, unresolved, exact = _decide(scanner, a, *scanner.classify(a))
     successes += int(np.count_nonzero(persistent))

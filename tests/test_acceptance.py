@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from persistlab import engine
 from persistlab.cli import main
 from persistlab.games import (
     GamePayoffs,
@@ -344,9 +345,14 @@ def test_criterion_11_reproducibility(tmp_path):
         ["ratio", "--n-list", "16,36", "--samples", "30000", "--seed", "9", "--workers", "2"],
         ["gp-exponent", "--horizons", "3,4,5,6,7,8", "--samples", "20000", "--seed", "4"],
         ["negligible", "--n-list", "100", "--samples", "20000", "--seed", "5", "--workers", "2"],
-        ["game", "--n-list", "2,5", "--samples", "5000", "--seed", "6", "--workers", "2"],
+        ["game", "--n-list", "2,5", "--samples", "20000", "--seed", "6", "--workers", "2"],
         ["b1-report", "--n-list", "1000,10000"],
     ]
+    # every pooled command spans two units, so its payload crosses the pool
+    for args in commands:
+        if "--workers" in args:
+            samples = int(args[args.index("--samples") + 1])
+            assert len(engine._blocks(0, samples)) >= 2, args
     ok = True
     for idx, args in enumerate(commands):
         for fmt in ("csv", "json"):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from persistlab import __version__
+from persistlab import __version__, engine
 from persistlab.cli import main
 
 
@@ -60,7 +60,8 @@ def test_persist_stdout(capsys):
 
 def test_persist_rerun_payload_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["persist", "--n", "4", "--samples", "5000", "--seed", "3", "--workers", "2"]
+    args = ["persist", "--n", "4", "--samples", "20000", "--seed", "3", "--workers", "2"]
+    assert len(engine._blocks(3, 20_000)) >= 2  # two units cross the pool
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert read_payload(a) == read_payload(b)

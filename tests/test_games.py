@@ -13,6 +13,7 @@ from persistlab.games import (
     prob_no_internal_equilibria,
     replicator_rhs,
 )
+from persistlab import engine, games, mc
 from persistlab.games import _no_positive_root
 from persistlab.mc import FULL_AXIS, _SignScanner, estimate_persistence
 from persistlab.polys import BinomialPolynomial
@@ -168,11 +169,62 @@ def test_prob_three_player_against_root_oracle():
     assert abs(est.p_hat - oracle) < 4 * se + (est.ci_high - est.ci_low) / 2
 
 
+def _games_alone(scanner, seed, size):
+    """One seeded block of games drawn and decided on its own: its counts
+    (no-equilibrium games, lifted, exact), its lifted payoff differences
+    and its generator's final state.  The block draws xi, then z for the
+    lifted games."""
+    rng = np.random.default_rng(seed)
+    xi = rng.standard_normal((scanner.rank, size))
+    lifted = np.flatnonzero(~scanner.sign_change(xi))
+    a = scanner.lift(xi[:, lifted], rng.standard_normal((scanner.n + 1, len(lifted))))
+    none, exact = _no_positive_root(scanner.n, a)
+    counts = (np.count_nonzero(none), len(lifted), exact)
+    return counts, a, rng.bit_generator.state
+
+
+def test_group_pass_counts_equal_its_blocks_one_by_one(monkeypatch):
+    # a unit of seeded blocks decided in one pass counts what its blocks
+    # count one by one, lifts the same payoff differences and leaves each
+    # block's generator where the block alone leaves it; the last block is
+    # 7 games, of which at 51 players none is lifted, so the last group
+    # mixes lifted and empty blocks
+    seen = {}
+
+    def group_of(blocks):
+        seen["rngs"], edges = engine._group(blocks)
+        return seen["rngs"], edges
+
+    def decide(n, a):
+        seen["a"] = a
+        return _no_positive_root(n, a)
+
+    monkeypatch.setattr(games, "_group", group_of)
+    monkeypatch.setattr(games, "_no_positive_root", decide)
+    mixed = False
+    for players in (2, 3, 4, 5, 51):
+        scanner = mc._scanner(players - 1, FULL_AXIS, 0.25)
+        groups = engine._blocks(players, 7 * engine._BATCH + 7)
+        assert [len(g) for g in groups] == [engine._GROUP] * 2
+        for group in groups:
+            counts, coeffs, states = zip(*[_games_alone(scanner, *b) for b in group])
+            whole = games._no_equilibria_block(scanner, *group)
+            assert whole == tuple(map(sum, zip(*counts))), players
+            np.testing.assert_allclose(
+                seen["a"], np.hstack(coeffs), rtol=0.0, atol=1e-12
+            )
+            assert [rng.bit_generator.state for rng in seen["rngs"]] == list(states)
+            lifted = [c[1] for c in counts]
+            mixed |= min(lifted) == 0 < max(lifted)
+    assert mixed
+
+
 def test_prob_workers_deterministic():
-    a = prob_no_internal_equilibria(4, 8000, seed=6, workers=2)
-    b = prob_no_internal_equilibria(4, 8000, seed=6, workers=2)
+    assert len(engine._blocks(6, 20_000)) >= 2  # two units cross the pool
+    a = prob_no_internal_equilibria(4, 20_000, seed=6, workers=2)
+    b = prob_no_internal_equilibria(4, 20_000, seed=6, workers=2)
     assert a == b
-    assert prob_no_internal_equilibria(4, 8000, seed=6, workers=1) == a
+    assert prob_no_internal_equilibria(4, 20_000, seed=6, workers=1) == a
 
 
 def test_prob_rejects_nonpositive_workers():
@@ -183,7 +235,8 @@ def test_prob_rejects_nonpositive_workers():
 def test_prob_counts_lifted_games_over_workers():
     # every game without an equilibrium was lifted, and more workers than
     # games leaves the spare workers idle
-    est = prob_no_internal_equilibria(5, 3000, seed=2, workers=2)
+    assert len(engine._blocks(2, 20_000)) >= 2
+    est = prob_no_internal_equilibria(5, 20_000, seed=2, workers=2)
     assert est.successes <= est.escalated <= est.samples
     one = prob_no_internal_equilibria(4, 1, seed=2, workers=2)
     assert one.samples == 1

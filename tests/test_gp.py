@@ -225,14 +225,23 @@ def test_survival_sieve_property(horizon, step, method, seed):
 
 @pytest.mark.parametrize("horizon", [3.0, 12.0])
 def test_survival_sieve_row_by_row_keeps_the_columns_passes_keeps(horizon):
-    # on the same normals, sift keeps exactly the columns the all-rows
-    # predicate keeps
+    # on the same normals, sift asks only for the rows of live columns and
+    # keeps exactly the columns the all-rows predicate keeps
     _, sieve = _survival_state(DEFAULT_KERNEL, horizon, 0.25, "series")
     eta = np.random.default_rng(int(horizon)).standard_normal((len(sieve.rows), 20_000))
-    kept, alive = sieve.sift(eta.shape[1], lambda j, cols: eta[j, cols])
+    asked = np.zeros(eta.shape, dtype=bool)
+
+    def row(j, alive, out):
+        asked[j, alive] = True
+        out[:] = eta[j, alive]
+
+    kept, alive = sieve.sift(eta.shape[1], row)
     np.testing.assert_array_equal(alive, np.flatnonzero(sieve.passes(eta)))
     np.testing.assert_array_equal(kept, eta[:, alive])
     assert 0 < len(alive) < eta.shape[1]
+    y = sieve.l @ eta >= -sieve.thr[:, None]
+    live = np.cumprod(np.vstack([np.ones(eta.shape[1], dtype=bool), y[:-1]]), axis=0)
+    np.testing.assert_array_equal(asked, live.astype(bool))
 
 
 def test_survival_states_are_cached_and_read_only():

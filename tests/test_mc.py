@@ -93,6 +93,7 @@ def test_degree_two_against_quadratic_oracle():
 
 
 def test_estimate_bit_reproducible():
+    assert len(engine._blocks(5, 20_000)) >= 2  # two units cross the pool
     a = estimate_persistence(16, FULL_AXIS, 20_000, seed=5, workers=1)
     b = estimate_persistence(16, FULL_AXIS, 20_000, seed=5, workers=1)
     assert a == b
@@ -332,9 +333,9 @@ def test_sieve_row_by_row_keeps_the_columns_passes_keeps(n, kind):
     eta = np.random.default_rng(n).standard_normal((len(sieve.rows), 20_000))
     asked = np.zeros(eta.shape, dtype=bool)
 
-    def row(j, alive):
+    def row(j, alive, out):
         asked[j, alive] = True
-        return eta[j, alive]
+        out[:] = eta[j, alive]
 
     kept, alive = sieve.sift(eta.shape[1], row)
     np.testing.assert_array_equal(alive, np.flatnonzero(sieve.passes(eta)))
@@ -344,6 +345,69 @@ def test_sieve_row_by_row_keeps_the_columns_passes_keeps(n, kind):
     y = sieve.l @ eta >= -sieve.thr[:, None]
     live = np.cumprod(np.vstack([np.ones(eta.shape[1], dtype=bool), y[:-1]]), axis=0)
     np.testing.assert_array_equal(asked, live.astype(bool))
+
+
+def _block_alone(scanner, seed, size):
+    """One seeded block drawn and decided on its own: its counts
+    (successes, lifted, unresolved, exact), its sieve survivors, its lifted
+    coefficients and its generator's final state.  The block draws eta row
+    by row for the live columns, w for the survivors, z for the lifts."""
+    rng = np.random.default_rng(seed)
+
+    def row(j, alive, out):
+        out[:] = rng.standard_normal(len(alive))
+
+    eta, _ = scanner.sieve.sift(size, row)
+    xi = scanner.sieve.complete(eta, rng.standard_normal((scanner.rank, eta.shape[1])))
+    verdicts = scanner.scan(xi)
+    lifted = np.flatnonzero(verdicts == _SignScanner.ESCALATE)
+    a = scanner.lift(xi[:, lifted], rng.standard_normal((scanner.n + 1, len(lifted))))
+    persistent, unresolved, exact = mc._decide(scanner, a, *scanner.classify(a))
+    successes = np.count_nonzero(verdicts == _SignScanner.ACCEPT)
+    successes += np.count_nonzero(persistent)
+    counts = (successes, len(lifted), unresolved, exact)
+    return counts, xi.shape[1], a, rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "n, kind, seed, blocks",
+    [(144, "full", 1440, 40), (100, "low", 1001, 8), (10**4, "low", 7, 4)],
+)
+def test_group_pass_counts_equal_its_blocks_one_by_one(
+    n, kind, seed, blocks, monkeypatch
+):
+    # a unit of seeded blocks decided in one pass counts what its blocks
+    # count one by one, lifts the same coefficients and leaves each block's
+    # generator where the block alone leaves it; the last block is 3
+    # samples, which no column of survives the sieve, so the last group
+    # mixes empty and live blocks
+    scanner = mc._scanner(n, IntervalSpec(kind), 0.25)
+    groups = engine._blocks(seed, (blocks - 1) * engine._BATCH + 3)
+    assert [len(g) for g in groups] == [engine._GROUP] * (blocks // engine._GROUP)
+    alone = [[_block_alone(scanner, *block) for block in group] for group in groups]
+    seen = {}
+
+    def group_of(blocks):
+        seen["rngs"], edges = engine._group(blocks)
+        return seen["rngs"], edges
+
+    def decide(scanner, a, *verdicts):
+        seen["a"] = a
+        return decide_alone(scanner, a, *verdicts)
+
+    decide_alone = mc._decide
+    monkeypatch.setattr(mc, "_group", group_of)
+    monkeypatch.setattr(mc, "_decide", decide)
+    mixed = lifted = 0
+    for group, parts in zip(groups, alone):
+        counts, survivors, coeffs, states = zip(*parts)
+        assert mc._persistence_block(scanner, *group) == tuple(map(sum, zip(*counts)))
+        np.testing.assert_allclose(seen["a"], np.hstack(coeffs), rtol=0.0, atol=1e-12)
+        assert [rng.bit_generator.state for rng in seen["rngs"]] == list(states)
+        lifts = [c[1] for c in counts]
+        mixed += min(survivors) == 0 < max(survivors) or min(lifts) == 0 < max(lifts)
+        lifted += sum(lifts)
+    assert mixed and (lifted > 0) == (n < 10**4)
 
 
 def test_sieve_completion_is_standard_normal():
@@ -433,6 +497,7 @@ def test_scanner_factor_sign_is_canonical(n, kind, monkeypatch):
 
 
 def test_escalations_are_counted():
+    assert len(engine._blocks(2, 20_000)) >= 2
     one = estimate_persistence(36, MAIN_INTERVAL, 20_000, seed=2)
     two = estimate_persistence(36, MAIN_INTERVAL, 20_000, seed=2, workers=2)
     for est in (one, two):
