@@ -245,10 +245,10 @@ def _survival_state(
 
 
 def _survival_block(state: tuple[np.ndarray, Sieve], *blocks) -> int:
-    """Surviving paths of a unit of seeded blocks (seed, size), one block
-    at a time: the sieve, then the exact grid verdict min(G xi) > 0 on the
-    completed survivors.  Drawing normals bounds a block, so gp gains
-    nothing from one pass over the unit."""
+    """Surviving paths of a unit of seeded blocks (seed, size), one block at
+    a time: the sieve, then the exact grid verdict min(G xi) > 0.  One draw
+    over the unit gives the same counts but ran slower on gp-exponent's calls
+    (one BLAS thread): 6.7-8.8 M paths/s, against 7.8-11.1 M/s block by block."""
     factor, sieve = state
     survivors = 0
     for block in blocks:

@@ -12,8 +12,8 @@ Per-sample decisions:
   time-grid step resolves the O(1) correlation scale; grid-positive samples
   are accepted once every cell clears a conditional-dip threshold, suspicious
   cells are refined locally, and rare unresolved samples escalate to the
-  exact counter (conservative reject above the exact-degree cutoff, counted
-  in the estimate's `unresolved`).
+  exact roots.is_persistent(p, lo, hi) (conservative reject above the
+  exact-degree cutoff, counted in the estimate's `unresolved`).
 
 The scan runs in a latent space.  On the t-grid the normalized polynomial is
 close to a smooth stationary process (kernel e^(-tau^2/4)), so the Gram
@@ -55,8 +55,8 @@ take contiguous ranges of these units and results are summed in unit order
 (engine._run_units), so every estimate is reproducible bit-for-bit from
 the seed alone, at any worker count.
 Workers are forked (on Linux, whatever the default start method) once per
-process and reused by later calls (_pool); they keep the module state they
-were forked with, so a monkeypatch of this module made after the first
+process and reused by later calls (engine._pool); they keep the module state
+they were forked with, so a monkeypatch of this module made after the first
 pooled call does not reach them.
 """
 
@@ -64,20 +64,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .engine import (  # _pool, _drop_pool: the pool, under mc's names too
+from .engine import (
     Sieve,
     _blocks,
     _columns,
     _derive_seed,
-    _drop_pool,
     _group,
     _kept,
-    _pool,
     _run_units,
     latent_factor,
 )
@@ -90,12 +87,8 @@ from .kernel import (
 )
 from .logscale import log_binomial_row
 from .polys import BinomialPolynomial, eval_f
-from .roots import (
-    DyadicPolynomial,
-    bernstein_verdicts,
-    count_roots_in,
-    is_persistent,
-)
+from .roots import bernstein_verdicts, is_persistent
+from .roots import count_roots_in  # noqa: F401  (perfbench traces it here by name)
 from .stats import PersistenceEstimate, SplittingEstimate
 
 __all__ = [
@@ -442,23 +435,6 @@ class _SignScanner:
             return None
         return True
 
-    def _exact_positive(self, p: BinomialPolynomial) -> bool:
-        dp = DyadicPolynomial.from_binomial(p)
-        if dp.is_zero():
-            return False
-        x_lo, x_hi = self.interval.x_range(self.n)
-        lo = None if self.interval.kind == "low" else Fraction(x_lo)
-        hi = None if self.interval.kind == "high" else Fraction(x_hi)
-        if count_roots_in(dp, lo, hi) != 0:
-            return False
-        if self.interval.kind == "low":
-            probe = Fraction(x_hi) / 2
-        elif self.interval.kind == "high":
-            probe = Fraction(x_lo) * 2
-        else:
-            probe = (Fraction(x_lo) + Fraction(x_hi)) / 2
-        return dp(probe) > 0
-
     def resolve(self, coeffs: np.ndarray, u_col: np.ndarray) -> bool | None:
         """Settle one escalated sample: local refinement of every cell, exact
         fallback when refinement cannot certify either way; None when neither
@@ -481,7 +457,7 @@ class _SignScanner:
         if not needs_exact:
             return True
         if self.n <= _EXACT_FALLBACK_MAX_DEGREE:
-            return self._exact_positive(p)
+            return is_persistent(p, *self.interval.x_range(self.n))
         return None
 
 

@@ -3,9 +3,9 @@
 IEEE doubles are dyadic rationals, so a sampled polynomial scaled by a common
 power of two has integer coefficients, and every sign decision below is exact
 integer arithmetic.  Two engines share that representation: Descartes
-bisection (integer Taylor shifts, input-sized coefficients) answers the plain
-existence question fast, and a generalized Sturm chain with subresultant
-magnitudes provides counts, interval queries, isolation and refinement.
+bisection (integer Taylor shifts) answers existence questions fast on any
+interval, and a generalized Sturm chain with subresultant magnitudes
+provides counts, isolation, refinement and the depth-cap fallback.
 
 In front of them, bernstein_verdicts settles whole blocks of binomial-weighted
 float columns at once with a rigorous floating-point certificate (midpoint
@@ -95,12 +95,6 @@ class DyadicPolynomial:
             c.numerator * (1 << (shift - (c.denominator.bit_length() - 1)))
             for c in self.coefficients
         )
-
-    def __call__(self, point: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * point + c
-        return acc
 
 
 # --- integer-list polynomial core (ascending powers) ---
@@ -426,17 +420,43 @@ def no_positive_roots(p: DyadicPolynomial) -> bool:
     return got
 
 
-def is_persistent(p: BinomialPolynomial) -> bool:
-    """Exact decision of the event {f > 0 everywhere on (0, inf)}.
+def _interval_image(c: Sequence[int], lo: Fraction, hi: float) -> list[int]:
+    """den^d (1 + y)^d c(lo + (hi - lo) y / (1 + y)) in integers (den^d c(lo + y)
+    when hi is inf), den the larger denominator of lo and hi: its positive
+    roots are c's in (lo, hi), its leading coefficient has the sign of c(hi)."""
+    if not lo and hi == math.inf:
+        return list(c)  # the identity, the whole axis
+    right, e = (Fraction(1), 0) if hi == math.inf else (Fraction(hi), 1)
+    den = max(lo.denominator, right.denominator)
+    a, b = int(lo * den), int(right * den)  # x = (a + b y) / (den (1 + e y))
+    acc, power = [c[-1]], [1]
+    for ci in reversed(c[:-1]):
+        acc = [a * u + b * v for u, v in zip(acc + [0], [0] + acc)]
+        power = [den * (u + e * v) for u, v in zip(power + [0], [0] + power)]
+        acc = [u + ci * v for u, v in zip(acc, power)]
+    return acc
 
-    Binomial weighting is applied exactly (integer binomials times dyadic
-    coefficients) before deciding.  A value of exactly zero anywhere,
-    including tangencies, makes the answer False.
-    """
+
+def is_persistent(p: BinomialPolynomial, lo: float = 0.0, hi: float = math.inf) -> bool:
+    """Exact decision of the event {f > 0 everywhere on (lo, hi]} ((lo, inf)
+    when hi is inf, by default the whole positive axis).  The binomial weights
+    and the map of y in (0, inf) onto (lo, hi), x = lo + (hi - lo) y / (1 + y),
+    are applied exactly; Descartes bisection decides the image, or the chain
+    count at its depth cap.  A zero in the interval (a tangency, a root at
+    hi) makes the answer False; a root at lo is outside it."""
+    if not 0.0 <= lo < hi:
+        raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi})")
     dp = DyadicPolynomial.from_binomial(p)
     if dp.is_zero():
         return False
-    return no_positive_roots(dp) and sum(dp.scaled_integers()) > 0
+    c = _interval_image(dp.scaled_integers(), Fraction(lo), hi)
+    if c[-1] <= 0:
+        return False  # f(hi) <= 0, or f < 0 near inf
+    got = _no_positive_roots_ints(c)
+    if got is None:
+        right = None if hi == math.inf else Fraction(hi)
+        return count_roots_in(dp, Fraction(lo), right) == 0
+    return got
 
 
 # --- batched float certificate in the Bernstein form ---

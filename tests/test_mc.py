@@ -651,6 +651,14 @@ def test_fixed_seed_outputs_are_pinned(workers):
     }
 
 
+def test_restricted_exact_decisions_are_pinned():
+    # counts from the release that decided restricted-interval samples with
+    # a Sturm chain count and a probe (seed 7 lifts a sample whose chain
+    # takes seconds): is_persistent's verdicts must not change one of them
+    low = estimate_persistence(100, LOW_INTERVAL, 20_000, seed=7)
+    assert (low.successes, low.escalated, low.unresolved) == (359, 91, 0)
+
+
 def _unsieved_successes(scanner, samples, seed):
     """Persistent samples of the sampler without the sieve: full-rank xi,
     the latent scan, then the lifted columns through classify and _decide,
@@ -672,7 +680,7 @@ def _unsieved_successes(scanner, samples, seed):
 def test_sieved_persistence_matches_unsieved_reference():
     # two-sample z on 10^6 samples each; |z| < 4 is a two-sided alpha of
     # 6.3e-5, and it detects a relative bias in p (about 0.018) of about 4%.
-    # About 35 s: each side settles some 4000 lifted samples one by one
+    # About 10 s: each side settles some 4000 lifted samples one by one
     samples = 1_000_000
     est = estimate_persistence(100, LOW_INTERVAL, samples, seed=1002)
     ref = _unsieved_successes(mc._scanner(100, LOW_INTERVAL, 0.25), samples, 1003)
@@ -759,17 +767,17 @@ def test_cold_and_warm_calls_agree(name, workers):
     # a fresh pool forks from a process with an empty cache, so its workers
     # start cold too
     mc._scanner.cache_clear()
-    mc._drop_pool()
+    engine._drop_pool()
     call = COLD_WARM_CALLS[name]
     assert call(workers) == call(workers)
 
 
 def test_pool_is_kept_across_calls():
     one = estimate_persistence(16, FULL_AXIS, 20_000, seed=8, workers=2)
-    pool = mc._pool(2)
+    pool = engine._pool(2)
     pids = set(pool._processes)
     assert estimate_persistence(16, FULL_AXIS, 20_000, seed=8, workers=2) == one
-    assert mc._pool(2) is pool
+    assert engine._pool(2) is pool
     assert set(pool._processes) == pids
 
 
@@ -778,7 +786,7 @@ def test_broken_pool_recovers():
         return estimate_persistence(36, MAIN_INTERVAL, 20_000, seed=9, workers=workers)
 
     call(2)
-    pool = mc._pool(2)
+    pool = engine._pool(2)
     pid = next(iter(pool._processes))
     # kill only a worker this process started
     assert pid in {child.pid for child in multiprocessing.active_children()}
@@ -787,7 +795,7 @@ def test_broken_pool_recovers():
     while not pool._broken and time.monotonic() < deadline:
         time.sleep(0.01)
     assert call(2) == call(1)
-    assert mc._pool(2) is not pool
+    assert engine._pool(2) is not pool
 
 
 def _running(pid: int) -> bool:
@@ -819,13 +827,13 @@ def test_pool_forks_whatever_the_default_start_method():
     code = (
         "import multiprocessing\n"
         "multiprocessing.set_start_method('forkserver')\n"
-        "from persistlab import mc\n"
+        "from persistlab import engine, mc\n"
         "def call(workers):\n"
         "    return mc.estimate_persistence(\n"
         "        16, mc.FULL_AXIS, 20_000, seed=1, workers=workers\n"
         "    )\n"
         "assert call(2) == call(1)\n"
-        "print(mc._pool(2)._mp_context.get_start_method())\n"
+        "print(engine._pool(2)._mp_context.get_start_method())\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -840,9 +848,9 @@ def test_pool_forks_whatever_the_default_start_method():
 
 def test_pool_workers_exit_with_their_interpreter():
     code = (
-        "from persistlab import mc\n"
+        "from persistlab import engine, mc\n"
         "mc.estimate_persistence(16, mc.FULL_AXIS, 20_000, seed=1, workers=2)\n"
-        "print(*mc._pool(2)._processes)\n"
+        "print(*engine._pool(2)._processes)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -871,9 +879,9 @@ def test_pool_workers_exit_when_their_caller_is_killed():
     if not sys.platform.startswith("linux"):
         pytest.skip("PR_SET_PDEATHSIG is Linux-only")
     code = (
-        "from persistlab import mc\n"
+        "from persistlab import engine, mc\n"
         "mc.estimate_persistence(16, mc.FULL_AXIS, 20_000, seed=1, workers=2)\n"
-        "print(*mc._pool(2)._processes, flush=True)\n"
+        "print(*engine._pool(2)._processes, flush=True)\n"
         "while True:\n"
         "    mc.estimate_persistence(16, mc.FULL_AXIS, 200_000, seed=2, workers=2)\n"
     )

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from persistlab import roots
+from persistlab.mc import IntervalSpec
 from persistlab.polys import BinomialPolynomial, sample_polynomial
 from persistlab.roots import (
     DyadicPolynomial,
@@ -201,6 +203,100 @@ def test_persistence_against_eigenvalue_oracle():
         )
         oracle = (not has_pos) and w.sum() > 0
         assert is_persistent(p) == oracle
+
+
+# --- is_persistent on an interval against the Sturm chain ---
+
+
+def sturm_positive(p, lo, hi):
+    """Reference decision of {f > 0 on (lo, hi]}: the chain counts no root
+    in (lo, hi] and f is positive at a point inside."""
+    dp = DyadicPolynomial.from_binomial(p)
+    if dp.is_zero():
+        return False
+    left = None if lo == 0.0 else Fraction(lo)
+    right = None if hi == math.inf else Fraction(hi)
+    if count_roots_in(dp, left, right) != 0:
+        return False
+    if right is None:
+        probe = 2 * left if left else Fraction(1)
+    elif left is None:
+        probe = right / 2
+    else:
+        probe = (left + right) / 2
+    return sum(c * probe**i for i, c in enumerate(dp.coefficients)) > 0
+
+
+def interval_verdicts(p, lo, hi):
+    """is_persistent(p, lo, hi) as it runs, and with Descartes bisection
+    giving up at once, as at its depth cap, so that the chain count decides."""
+    free = is_persistent(p, lo, hi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots, "_no_positive_roots_ints", lambda c: None)
+        capped = is_persistent(p, lo, hi)
+    return free, capped
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    interval=st.one_of(
+        st.sampled_from(["full", "low", "high", "main"]),
+        st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)).filter(
+            lambda ends: ends[0] < ends[1]
+        ),
+    ),
+    offset=st.sampled_from([0.0, 1.0, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+    zero_a0=st.booleans(),
+)
+def test_interval_decision_matches_sturm_chain(n, interval, offset, seed, zero_a0):
+    a = offset + np.random.default_rng(seed).standard_normal(n + 1)
+    if zero_a0:
+        a[0] = 0.0
+    p = BinomialPolynomial(n, a)
+    if isinstance(interval, str):
+        lo, hi = IntervalSpec(interval).x_range(n)
+    else:
+        lo, hi = interval
+    ref = sturm_positive(p, lo, hi)
+    assert interval_verdicts(p, lo, hi) == (ref, ref)
+
+
+# the edge n^-1/6 is exactly 1/2 at n = 64; the others are rounded floats
+@pytest.mark.parametrize("n", [2, 64, 100, 10_000])
+def test_interval_decision_at_exact_endpoints(n):
+    # degrees 1 and 2, whose binomials 1, 2, 1 keep these coefficients exact
+    for kind in ("low", "high", "main"):
+        lo, hi = IntervalSpec(kind).x_range(n)
+        cases = [
+            ([-lo, 1.0], True),  # x - lo: a root at lo is outside
+            ([0.0, -lo / 2, 1.0], True),  # x (x - lo): roots at 0 and lo
+            ([lo, -1.0], False),  # lo - x: negative inside
+            ([0.0, 0.0], False),  # the zero polynomial
+        ]
+        if hi != math.inf:
+            cases.append(([hi, -1.0], False))  # hi - x: a root exactly at hi
+        for a, want in cases:
+            p = BinomialPolynomial(len(a) - 1, np.array(a))
+            assert sturm_positive(p, lo, hi) == want, (a, lo, hi)
+            assert interval_verdicts(p, lo, hi) == (want, want), (a, lo, hi)
+    # a double root at 1, and two roots 1 -+ 2^-8, inside main and the full
+    # axis only
+    for a in ([1.0, -1.0, 1.0], [1.0 - 2.0**-16, -1.0, 1.0]):
+        p = BinomialPolynomial(2, np.array(a))
+        for kind in ("full", "low", "high", "main"):
+            lo, hi = IntervalSpec(kind).x_range(n)
+            want = kind in ("low", "high")
+            assert sturm_positive(p, lo, hi) == want, (a, kind)
+            assert interval_verdicts(p, lo, hi) == (want, want), (a, kind)
+
+
+def test_interval_decision_rejects_bad_endpoints():
+    p = BinomialPolynomial(1, np.array([1.0, 1.0]))
+    for lo, hi in ((0.5, 0.5), (1.0, 0.5), (-1.0, 1.0)):
+        with pytest.raises(ValueError):
+            is_persistent(p, lo, hi)
 
 
 # --- isolation and refinement ---
