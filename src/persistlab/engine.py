@@ -5,7 +5,8 @@ on its t-grid (mc, games) and the limit process on its time grid (gp).  The
 field is drawn as G xi with a factor G (grid rows x r) and latent normals
 xi ~ N(0, I_r):
 
-* latent_factor gives a low-rank G from the rows' Gram matrix;
+* latent_factor gives a low-rank G from the rows' Gram matrix and their
+  products, so the rows need not be held whole;
 * Sieve draws xi in two stages, rejecting most columns on a few rows of G,
   one row at a time, before the rest of xi is drawn;
 * _blocks, _run_units and _pool run seeded blocks of samples, optionally
@@ -42,20 +43,23 @@ _SIEVE_GAP = 2.5  # least t between sieve rows (limit correlation e^(-gap^2/4))
 
 
 def latent_factor(
-    matrix: np.ndarray, bound: float, reach: float = 1.0
+    gram: np.ndarray, left, right, bound: float, reach: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-r factor (G, V) of matrix from its Gram matrix, with matrix ~ G V.
+    """Rank-r factor (G, V) of a matrix M ~ G V, given its Gram matrix
+    gram = M M^T and its products left(C) = C M and right(B) = M B; dense()
+    gives these for a matrix at hand, mc's scanner builds them from its
+    windowed weight rows.
 
-    The Gram matrix matrix matrix^T = Q Lambda Q^T (one eigh) gives the
-    left singular vectors Q and squared singular values Lambda, so the
-    tail energies q_jk^2 lambda_k are the row residuals of every rank.  r is
-    the smallest rank with every row residual |E_j| of matrix - G V (times
-    reach) at most bound.  V0 = Lambda_r^(-1/2) Q_r^T matrix spans the top r
-    right singular vectors; one Cholesky-QR pass, V = chol(V0 V0^T)^(-1) V0,
-    makes its rows orthonormal to rounding, and G = matrix V^T, so the
-    residual E = matrix - G V satisfies E V^T = 0 to rounding.  Paths G xi
-    with xi ~ N(0, I_r) have covariance G G^T, which differs from
-    matrix matrix^T by E E^T, at most |E_i| |E_j| per entry.
+    The Gram matrix M M^T = Q Lambda Q^T (one eigh) gives the left singular
+    vectors Q and squared singular values Lambda, so the tail energies
+    q_jk^2 lambda_k are the row residuals of every rank.  r is the smallest
+    rank with every row residual |E_j| of M - G V (times reach) at most
+    bound.  V0 = Lambda_r^(-1/2) Q_r^T M spans the top r right singular
+    vectors; one Cholesky-QR pass, V = chol(V0 V0^T)^(-1) V0, makes its rows
+    orthonormal to rounding, and G = M V^T, so the residual E = M - G V
+    satisfies E V^T = 0 to rounding.  Paths G xi with xi ~ N(0, I_r) have
+    covariance G G^T, which differs from M M^T by E E^T, at most |E_i| |E_j|
+    per entry.
 
     The Gram squares the spectrum: eigh resolves a row's tail energy only to
     about 1e-16 times the largest eigenvalue, so a residual |E_j| is
@@ -72,20 +76,25 @@ def latent_factor(
     grid, the full axis) some columns are antisymmetric, with two opposite
     peaks that only rounding tells apart.
     """
-    lam, q = np.linalg.eigh(matrix @ matrix.T)
+    lam, q = np.linalg.eigh(gram)
     lam = np.maximum(lam[::-1], 0.0)
     q = q[:, ::-1]
     # tail[j, k] = |row j of the rank-k residual|^2; it falls with k, so
     # the smallest admissible rank is the number of ranks that fail
     tail = np.cumsum((q * q * lam)[:, ::-1], axis=1)[:, ::-1]
     rank = int(np.count_nonzero(np.sqrt(tail.max(axis=0)) * reach > bound))
-    v = (q[:, :rank] / np.sqrt(lam[:rank])).T @ matrix
+    v = left((q[:, :rank] / np.sqrt(lam[:rank])).T)
     v = np.linalg.inv(np.linalg.cholesky(v @ v.T)) @ v
-    g = matrix @ v.T
+    g = right(v.T)
     mag = np.abs(g)
     peak = np.argmax(mag >= (1.0 - _PEAK_TIE) * mag.max(axis=0), axis=0)
     sign = np.sign(g[peak, np.arange(rank)])
     return g * sign, v * sign[:, None]
+
+
+def dense(matrix: np.ndarray) -> tuple:
+    """latent_factor's (gram, left, right) for a matrix held whole."""
+    return matrix @ matrix.T, lambda c: c @ matrix, lambda b: matrix @ b
 
 
 class Sieve:

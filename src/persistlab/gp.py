@@ -51,6 +51,7 @@ from .engine import (
     _group,
     _kept,
     _run_units,
+    dense,
     latent_factor,
 )
 from .stats import PersistenceEstimate
@@ -173,7 +174,7 @@ def _series_factor(
             f">= {SERIES_TAIL_TOL} at horizon {horizon}"
         )
     phi = _design_matrix(kernel, grid_times(horizon, step), truncation)
-    return latent_factor(phi, math.sqrt(SERIES_TAIL_TOL))[0]
+    return latent_factor(*dense(phi), math.sqrt(SERIES_TAIL_TOL))[0]
 
 
 def sample_paths_series(

@@ -20,7 +20,8 @@ close to a smooth stationary process (kernel e^(-tau^2/4)), so the Gram
 matrix of the normalized grid rows is close to that process's grid
 covariance, whose spectrum falls like e^(-w^2): each process factors the
 rows once per (n, interval, step) from that Gram matrix (_scanner;
-engine.latent_factor: one eigh, no SVD) and keeps rank r,
+engine.latent_factor: one eigh, no SVD), each row held as its window of
+about 6 sqrt(n) columns, and keeps rank r,
 r = 56 of 145 columns at n = 144 (full axis), 148 of 1001 at
 n = 1000 (full axis), 134 of the 2108 columns that carry weight at n = 10^4
 (low interval).  A sample is then r normals xi, scanned through an r-column
@@ -116,13 +117,17 @@ _AMBIG_NORMALIZED = 1e-9  # normalized |value| below this is unresolvable in flo
 _DIP_GUARD = 12.0  # clearance in units of the conditional in-cell sd
 _REFINE_DEPTH = 6
 _EXACT_FALLBACK_MAX_DEGREE = 128
-_W_MAX_ELEMENTS = 15_000_000  # largest weight matrix a scanner builds
+# largest rows x (n + 1) a scanner builds: no such array is formed, but it
+# bounds the windows (rows x width), the lift basis (rank x columns) and
+# classify()'s dense row blocks
+_W_MAX_ELEMENTS = 15_000_000
 _MARGIN_U = 1e-4  # largest latent row residual margin, in normalized units
 _PRUNE_REL = 1e-16  # columns below this fraction of every row's peak weight drop
 _FLOAT_SLACK = 1e-3  # tau units; covers the rounding of the scan and the lift
+_ROW_BLOCK = 64  # padded rows per dense block of a scanner build
 # bytes of scanner arrays _scanner keeps: all of a game sweep's scanners,
-# but a full-axis scanner from n ~ 3000 on (23 MB) alone
-_SCANNER_CACHE_BYTES = 16 * 2**20
+# but a full-axis scanner from n ~ 2500 on (9.8 MB at n = 3000) alone
+_SCANNER_CACHE_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -184,6 +189,39 @@ def _clearance(step: float) -> float:
     return _DIP_GUARD * _conditional_dip_sd(step)
 
 
+def _weight_windows(n: int, xs: np.ndarray):
+    """Each grid row's window, the columns lo_j..hi_j where the weight
+    C(n, i) x_j^i is at least _PRUNE_REL of the row's peak, and logw with
+    logw(cols) the log of that weight over the peak at the columns cols
+    (rows x k).  The log-weight is concave in i, so the window is one
+    interval around the peak (n + 1) x_j / (1 + x_j), and its ends are
+    found by bisection without evaluating the whole row."""
+    lbr = log_binomial_row(n)
+    logx = np.log(xs)[:, None]
+    peak = np.clip(np.floor((n + 1) * xs / (1.0 + xs)).astype(int), 0, n)
+    near = np.clip(peak[:, None] + np.arange(-2, 3), 0, n)
+    top = (logx * near + lbr[near]).max(axis=1, keepdims=True)
+
+    def logw(cols):
+        return logx * cols + lbr[cols] - top
+
+    def inside(cols):
+        return np.exp(logw(cols[:, None])[:, 0]) >= _PRUNE_REL
+
+    def bisect(true, false):
+        # the weight is at least _PRUNE_REL at true and below it at false
+        while np.any(np.abs(false - true) > 1):
+            mid = (true + false) // 2
+            ok = inside(mid)
+            true, false = np.where(ok, mid, true), np.where(ok, false, mid)
+        return true
+
+    first, last = np.zeros_like(peak), np.full_like(peak, n)
+    lo = np.where(inside(first), first, bisect(peak, first))
+    hi = np.where(inside(last), last, bisect(peak, last))
+    return lo, hi, logw
+
+
 class _SignScanner:
     """Precomputed normalized weight rows over a t-grid for one (n, interval).
 
@@ -194,10 +232,14 @@ class _SignScanner:
     scan() gives the same verdicts from latent vectors xi ~ N(0, I_r).  The
     padded rows of classify() (limit rows first and last, each in units of
     its threshold tau, so -1 and 1 are the reject and ambiguity thresholds)
-    form the matrix W~ (_rows) over the kept columns.  latent_factor factors W~
-    in normalized (u) units, where every row has unit norm, from its Gram
-    matrix: W~ = G V + E with orthonormal rows V and E V^T = 0 up to
-    rounding.  A lifted vector a (see lift) has a[columns] = z_c +
+    form the matrix W~ over the kept columns.  Each row weighs on a window
+    of about 6 sqrt(n) consecutive columns, so W~ is kept as windows: row j
+    is _win[j] on the kept columns columns[_off[j] : _off[j] + width], zero
+    elsewhere (a limit row's window has one nonzero entry), and no
+    rows x (n + 1) array is formed.  latent_factor factors W~ in normalized
+    (u) units, where every row has unit norm, from its Gram matrix:
+    W~ = G V + E with orthonormal rows V and E V^T = 0 up to rounding.  A
+    lifted vector a (see lift) has a[columns] = z_c +
     V^T (xi - V z_c), so its padded values are G xi + E_j a[columns] with
     E_j a[columns] = E_j z_c, a N(0, |E_j|^2) draw independent of xi (of any
     law of xi, so it holds for splitting's particles too).  The row margin
@@ -208,8 +250,9 @@ class _SignScanner:
     only up to rounding, and it meets the lift through E V^T (xi - V z_c)
     with |xi - V z_c| <= 2 sqrt(r) + 20 (outside a further e^-50 event for
     Gaussian xi), so each row's margin carries l_j = |E_j V^T| (2 sqrt(r) +
-    20), measured at build (5.8e-4 tau at most at n = 3000 on the full axis,
-    r = 256, set by the limit rows, whose tau is 1e-10 u); the scan's and
+    20), measured at build (at most 1.0e-3 tau at n = 3000 and 10^4 on the
+    full axis, r = 256 and 466, set by the rows at the ends of the axis,
+    whose tau is about 1e-10 u); the scan's and
     the lift's rounding stay within _FLOAT_SLACK.  Outside these events a
     latent reject (some row below -(1 + margin_j)) is a classify() reject
     of the lift, and a latent accept (every row clears kappa by margin_j and
@@ -218,15 +261,19 @@ class _SignScanner:
     0.15% of the clearance kappa = 0.066, so the widened thresholds move
     almost no sample.
 
-    Columns whose weight is below _PRUNE_REL = 1e-16 of the peak on every
-    row are dropped from classify() and the factor.  The dropped part D_j
-    of a row moves its value by |D_j a| <= 1e-16 max_j sqrt(n+1) |a|
-    against tau_j >= 1e-10 max_j.  Measured over n = 36 to 10^4 on all four
-    intervals, |D_j| (sqrt(n+1) + 10) is at most 1.9e-6 tau_j, so while
-    |a| <= sqrt(n+1) + 10 (probability 1 - e^-50) the dropped part stays far
-    inside the threshold's cushion and every classify() verdict holds for
-    the full row.  At n = 10^4 (low interval) 2108 of the 3383 columns with
-    a nonzero weight remain; the full axis drops none.
+    A row's window holds the columns where its weight is at least
+    _PRUNE_REL = 1e-16 of its peak; the weight is log-concave in the column,
+    so they are consecutive.  Columns outside every window are dropped from
+    classify() and the factor.  The part D_j of a row outside its window
+    moves its value by |D_j a| <= 1e-16 max_j sqrt(n+1) |a| against
+    tau_j >= 1e-10 max_j.  Measured over n = 36 to 10^4 on all four
+    intervals, |D_j| (sqrt(n+1) + 10) is at most 9.9e-5 tau_j (n = 10^4,
+    full axis), so while |a| <= sqrt(n+1) + 10 (probability 1 - e^-50) it
+    stays far inside the threshold's cushion and every classify() verdict
+    holds for the full row.  At n = 10^4 (low interval) 2108 of the 3383
+    columns with a nonzero weight remain, and a row's window is at most 655
+    columns; on the full axis no column drops, and a window is at most 858
+    of the 10001 columns.
 
     On the same event, a latent sign change (sign_change: some row below
     -(1 + margin_j) and some row above 1 + margin_k) puts one padded value
@@ -282,37 +329,49 @@ class _SignScanner:
                 f"the scanner's weight rows ({rows} x {n + 1}) exceed "
                 f"{_W_MAX_ELEMENTS} elements"
             )
-        # w[j, i] = C(n, i) x_j^i / (its row peak), built in place: the
-        # rows x (n + 1) block is the scanner's largest array
-        w = np.multiply.outer(np.log(self.xs), np.arange(n + 1, dtype=float))
-        w += log_binomial_row(n)
-        w -= w.max(axis=1, keepdims=True)
-        np.exp(w, out=w)
+        # w[j, i] = C(n, i) x_j^i / (its row peak) on row j's window, the
+        # columns where it is at least _PRUNE_REL; zero elsewhere
+        lo, hi, logw = _weight_windows(n, self.xs)
+        # the coefficients some row (or limit point) depends on: the union
+        # of the windows
+        cover = np.zeros(n + 2, dtype=int)
+        np.add.at(cover, lo, 1)
+        np.add.at(cover, hi + 1, -1)
+        keep = np.cumsum(cover[:-1]) > 0
+        keep[0] |= self.left_limit
+        keep[-1] |= self.right_limit
+        self.columns = np.flatnonzero(keep)
+        # each row's window is consecutive among the kept columns; all rows
+        # get one width, their offsets clipped to fit
+        width = int((hi - lo).max()) + 1
+        last = len(self.columns) - width
+        off = np.minimum(np.searchsorted(self.columns, lo), last)
+        cols = self.columns[off[:, None] + np.arange(width)]
+        inside = (cols >= lo[:, None]) & (cols <= hi[:, None])
+        w = np.zeros(cols.shape)
+        np.exp(logw(cols), out=w, where=inside)
         # M(x_j) = e^(2 m_j) |w_j|^2, so a row's sd in normalized units is
         # 1 / |w_j|; its threshold tau_j comes from the row mass
         tau = _NOISE_REL * w.sum(axis=1)
         inv_sd = 1.0 / np.linalg.norm(w, axis=1)
         self.kappa = _clearance(step)
-        # the coefficients some row (or limit point) depends on; the others
-        # weigh below _PRUNE_REL of the peak (1) on every row
-        keep = (w >= _PRUNE_REL).any(axis=0)
-        keep[0] |= self.left_limit
-        keep[-1] |= self.right_limit
-        self.columns = np.flatnonzero(keep)
-        # the padded rows in tau units, limit rows first and last (a limit
-        # row's mass is 1, so its tau is _NOISE_REL); u_scale takes them to
-        # normalized units
-        padded = [w[:, self.columns] / tau[:, None]]
-        del w  # free the full block before the factor's temporaries
-        scale = [tau * inv_sd]
-        limit_tau = np.array([_NOISE_REL])
+        # the padded rows in tau units, limit rows first and last as
+        # one-column windows (a limit row's mass is 1, so its tau is
+        # _NOISE_REL); u_scale takes them to normalized units
+        w /= tau[:, None]
+        limit = np.zeros((1, width))
+        limit[0, 0] = 1.0 / _NOISE_REL
+        windows, offsets, scale = [w], [off], [tau * inv_sd]
         if self.left_limit:
-            padded.insert(0, (self.columns == 0)[None, :] / _NOISE_REL)
-            scale.insert(0, limit_tau)
+            windows.insert(0, limit)
+            offsets.insert(0, [0])
+            scale.insert(0, [_NOISE_REL])
         if self.right_limit:
-            padded.append((self.columns == n)[None, :] / _NOISE_REL)
-            scale.append(limit_tau)
-        self._rows = np.vstack(padded)
+            windows.append(limit[:, ::-1])
+            offsets.append([last])
+            scale.append([_NOISE_REL])
+        self._win = np.vstack(windows)
+        self._off = np.concatenate(offsets)
         self.u_scale = np.concatenate(scale)
         self._factor()
         self.sieve = Sieve(self._g, self.t_pad, 1.0 + self.margin)
@@ -321,24 +380,85 @@ class _SignScanner:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
+    def _row_blocks(self, scale: np.ndarray | None = None):
+        """The padded rows (tau units, times scale if given), _ROW_BLOCK
+        rows at a time, each block dense over the kept columns its windows
+        span: yields (rows, first column, block)."""
+        width = self._win.shape[1]
+        for lo in range(0, len(self._win), _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            off = self._off[rows]
+            first = int(off.min())
+            span = int(off.max()) - first + width
+            block = np.zeros((len(off), span))
+            start = np.arange(len(off)) * span + off - first
+            win = self._win[rows]
+            block.reshape(-1)[start[:, None] + np.arange(width)] = (
+                win if scale is None else win * scale[rows, None]
+            )
+            yield rows, first, block
+
     def _factor(self) -> None:
         """Rank-r factor of the padded rows (see the class docstring): sets
         rank, the factor _g (padded rows x r, tau units), the lift basis _v
         (r x columns) and margin (tau units).  The rows are factored in u
-        units, where each has unit norm."""
-        c = math.sqrt(2.0 * (50.0 + math.log(len(self._rows))))
-        g, self._v = latent_factor(self._rows * self.u_scale[:, None], _MARGIN_U, c)
+        units, where each has unit norm, from dense blocks of a few rows
+        (_row_blocks): the Gram matrix from the pairs of blocks whose spans
+        overlap (the other row pairs share no column), and the products
+        with the rows block by block."""
+        size = len(self._win)
+        blocks = list(self._row_blocks(self.u_scale))
+        gram = np.zeros((size, size))
+        for k, (rows, first, block) in enumerate(blocks):
+            for rows2, first2, block2 in blocks[k:]:
+                lo = max(first, first2)
+                hi = min(first + block.shape[1], first2 + block2.shape[1])
+                if lo < hi:
+                    part = block[:, lo - first : hi - first]
+                    part2 = block2[:, lo - first2 : hi - first2]
+                    gram[rows, rows2] = part @ part2.T
+                    gram[rows2, rows] = gram[rows, rows2].T
+
+        def left(c):
+            out = np.zeros((len(c), len(self.columns)))
+            for rows, first, block in blocks:
+                out[:, first : first + block.shape[1]] += c[:, rows] @ block
+            return out
+
+        def right(b):
+            return np.vstack(
+                [block @ b[lo : lo + block.shape[1]] for _, lo, block in blocks]
+            )
+
+        c = math.sqrt(2.0 * (50.0 + math.log(size)))
+        g, self._v = latent_factor(gram, left, right, _MARGIN_U, c)
+        del blocks  # free the u-unit blocks before the residual's
         self._g = g / self.u_scale[:, None]
         self.rank = self._g.shape[1]
-        residual = self._rows - self._g @ self._v
-        leak = np.linalg.norm(residual @ self._v.T, axis=1)
+        # the residual E = W~ - G V of a block of rows at a time
+        norm = np.empty(size)
+        leak = np.empty(size)
+        for rows, first, block in self._row_blocks():
+            residual = -(self._g[rows] @ self._v)
+            residual[:, first : first + block.shape[1]] += block
+            norm[rows] = np.linalg.norm(residual, axis=1)
+            leak[rows] = np.linalg.norm(residual @ self._v.T, axis=1)
         self.margin = (
-            c * np.linalg.norm(residual, axis=1)
-            + leak * (2.0 * math.sqrt(self.rank) + 20.0)
-            + _FLOAT_SLACK
+            c * norm + leak * (2.0 * math.sqrt(self.rank) + 20.0) + _FLOAT_SLACK
         )
 
     # -- batched classification --
+
+    def _padded(self, a: np.ndarray) -> np.ndarray:
+        """The padded rows (tau units) times a batch of coefficient columns,
+        one dense block of rows at a time (_row_blocks).  Most batches are
+        empty (no sample of a unit lifted), and those form no block."""
+        if a.shape[1] == 0:
+            return np.zeros((len(self._win), 0))
+        ac = a[self.columns]
+        return np.vstack(
+            [b @ ac[lo : lo + b.shape[1]] for _, lo, b in self._row_blocks()]
+        )
 
     def classify(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Verdicts for a batch of coefficient columns, plus the padded
@@ -346,7 +466,7 @@ class _SignScanner:
         b = a.shape[1]
         if self.degenerate:
             return np.full(b, self.ACCEPT, dtype=np.int8), None
-        v = self._rows @ a[self.columns]
+        v = self._padded(a)
         negdef = (v < -1.0).any(axis=0)
         ambig = (np.abs(v) <= 1.0).any(axis=0)
         u_pad = v * self.u_scale[:, None]
@@ -495,8 +615,8 @@ def _scanner(n: int, interval: IntervalSpec, step: float) -> _SignScanner | None
     process for each (n, interval, step) while it stays in the cache.  The
     cache holds _SCANNER_CACHE_BYTES of scanner arrays, so games over several
     player counts keep all their scanners, while a large-n sweep holds one
-    scanner at a time (about 100 MB at n = 10^4 on the full axis); the
-    arrays are read-only."""
+    scanner at a time (48 MB at n = 10^4 on the full axis, most of it the
+    lift basis V); the arrays are read-only."""
     return _SignScanner(n, interval, step) if n else None
 
 

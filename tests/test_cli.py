@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import persistlab
 from persistlab import __version__, engine
 from persistlab.cli import main
 
@@ -181,6 +186,20 @@ def test_usage_error_exit_2():
 def test_missing_n_is_runtime_error(capsys):
     assert main(["persist", "--samples", "2000"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone takes about 0.7 s to import, paid by every command
+    code = (
+        "import sys\n"
+        "import persistlab, persistlab.mc, persistlab.gp, persistlab.games\n"
+        "import persistlab.cli\n"
+        "assert 'scipy.stats' not in sys.modules\n"
+    )
+    src = str(Path(persistlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_version_flag():

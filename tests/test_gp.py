@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from persistlab.engine import _PEAK_TIE
+from persistlab.engine import _PEAK_TIE, dense
 from persistlab.gp import (
     DEFAULT_KERNEL,
     HALF_TIME_KERNEL,
@@ -106,7 +106,7 @@ def test_latent_series_factor(horizon, step):
     K = required_truncation(kernel, horizon)
     phi = _design_matrix(kernel, grid_times(horizon, step), K)
     g = _series_factor(kernel, horizon, step, K)
-    g_again, v = latent_factor(phi, math.sqrt(SERIES_TAIL_TOL))
+    g_again, v = latent_factor(*dense(phi), math.sqrt(SERIES_TAIL_TOL))
     assert np.array_equal(g, g_again)
     residual = np.square(phi - g_again @ v).sum(axis=1)
     assert residual.max() <= SERIES_TAIL_TOL
@@ -130,7 +130,7 @@ def test_series_factor_sign_is_canonical(horizon, monkeypatch):
     # its entries tie for the largest magnitude
     K = required_truncation(DEFAULT_KERNEL, horizon)
     phi = _design_matrix(DEFAULT_KERNEL, grid_times(horizon, 0.25), K)
-    g, v = latent_factor(phi, math.sqrt(SERIES_TAIL_TOL))
+    g, v = latent_factor(*dense(phi), math.sqrt(SERIES_TAIL_TOL))
     # the first entry tied with the column's largest magnitude is positive
     mag = np.abs(g)
     peak = np.argmax(mag >= (1.0 - _PEAK_TIE) * mag.max(axis=0), axis=0)
@@ -138,7 +138,7 @@ def test_series_factor_sign_is_canonical(horizon, monkeypatch):
     assert np.array_equal(_series_factor(DEFAULT_KERNEL, horizon, 0.25, K), g)
     for driver in ("evr", "ev"):
         monkeypatch.setattr(np.linalg, "eigh", lapack_eigh(driver))
-        g_other, v_other = latent_factor(phi, math.sqrt(SERIES_TAIL_TOL))
+        g_other, v_other = latent_factor(*dense(phi), math.sqrt(SERIES_TAIL_TOL))
         assert g_other.shape == g.shape
         assert np.allclose(g_other, g, rtol=0.0, atol=1e-9), driver
         # the Gram fixes V's last rows only to about 1e-16 lambda_max / gap,

@@ -234,6 +234,15 @@ def test_unresolved_samples_are_counted(monkeypatch):
     assert sum(r.unresolved for r in rows) > 0
 
 
+def _dense_rows(scanner):
+    """The scanner's padded rows (tau units) over its kept columns: its
+    stored windows scattered into a dense array."""
+    rows = np.zeros((len(scanner._win), len(scanner.columns)))
+    index = scanner._off[:, None] + np.arange(scanner._win.shape[1])
+    np.put_along_axis(rows, index, scanner._win, axis=1)
+    return rows
+
+
 @pytest.mark.parametrize(
     "n, kind",
     [
@@ -271,14 +280,16 @@ def test_latent_scan_agrees_with_classify_on_lifts(n, kind):
         assert np.count_nonzero(latent == _SignScanner.ACCEPT) > 0
 
     # the padded rows in tau units, rebuilt row by row: w_j = C(n, i) x_j^i
-    # over its peak e^(m_j), tau_j = _NOISE_REL sum(w_j), and u_scale
-    # takes the row to units of its sd sqrt(M(x_j))
+    # over its peak e^(m_j) on the row's window (w_j >= _PRUNE_REL), zero
+    # elsewhere, tau_j = _NOISE_REL sum(w_j), and u_scale takes the row to
+    # units of its sd sqrt(M(x_j))
     i = np.arange(n + 1, dtype=float)
     padded, scale = [], []
     for x in scanner.xs:
         lt = log_binomial_row(n) + i * math.log(x)
         m = lt.max()
         w = np.exp(lt - m)
+        w[w < mc._PRUNE_REL] = 0.0
         tau = mc._NOISE_REL * w.sum()
         padded.append(w[scanner.columns] / tau)
         scale.append(tau * math.exp(m - 0.5 * mn_exact(n, float(x)).log_abs))
@@ -293,15 +304,20 @@ def test_latent_scan_agrees_with_classify_on_lifts(n, kind):
     # magnitude (ulp 7e-12), and subnormal weights carry fewer bits
     large = n >= 3000
     rtol, atol = (1e-11, 1e-300) if large else (1e-12, 0.0)
-    np.testing.assert_allclose(scanner._rows, padded, rtol=rtol, atol=atol)
+    rows = _dense_rows(scanner)
+    np.testing.assert_allclose(rows, padded, rtol=rtol, atol=atol)
     np.testing.assert_allclose(scanner.u_scale, scale, rtol=rtol, atol=0.0)
     # each row's residual E_j meets the lift only through E_j z, a
     # N(0, |E_j|^2) draw; it exceeds c |E_j| on some of the R rows with
     # probability at most R e^(-c^2/2) = e^-50.  E, a difference of
     # near-equal rows, is sensitive to their rounding, so at n = 3000 it is
-    # taken from the stored rows, which match the rebuilt ones only to it
+    # taken from the stored rows, which match the rebuilt ones only to it,
+    # and G V is formed in the build's blocks of _ROW_BLOCK rows, since a
+    # product's rounding depends on its shape
     c = math.sqrt(2.0 * (50.0 + math.log(len(padded))))
-    residual = (scanner._rows if large else padded) - scanner._g @ scanner._v
+    blocks = range(0, len(rows), mc._ROW_BLOCK)
+    gv = np.vstack([scanner._g[k : k + mc._ROW_BLOCK] @ scanner._v for k in blocks])
+    residual = (rows if large else padded) - gv
     e = np.linalg.norm(residual, axis=1)
     assert np.all(c * e * scanner.u_scale <= mc._MARGIN_U)
     # E V^T = 0 up to rounding; the margin also carries that rounding while
@@ -323,6 +339,70 @@ def test_latent_scan_agrees_with_classify_on_lifts(n, kind):
     )
     back = scanner.lift(scanner._v @ a[scanner.columns], a)
     np.testing.assert_allclose(back, a, rtol=0, atol=1e-12)
+
+
+def _dense_build(scanner):
+    """The padded rows as a dense build makes them, on the scanner's grid:
+    each row C(n, i) x_j^i over its peak on all n + 1 columns, the columns
+    where some row reaches _PRUNE_REL kept.  Returns the kept columns, the
+    padded rows over them (tau units), u_scale and latent_factor's rank."""
+    n = scanner.n
+    w = np.multiply.outer(np.log(scanner.xs), np.arange(n + 1, dtype=float))
+    w += log_binomial_row(n)
+    w = np.exp(w - w.max(axis=1, keepdims=True))
+    tau = mc._NOISE_REL * w.sum(axis=1)
+    keep = (w >= mc._PRUNE_REL).any(axis=0)
+    keep[0] |= scanner.left_limit
+    keep[-1] |= scanner.right_limit
+    columns = np.flatnonzero(keep)
+    rows = [w[:, columns] / tau[:, None]]
+    scale = [tau / np.linalg.norm(w, axis=1)]
+    if scanner.left_limit:
+        rows.insert(0, (columns == 0)[None, :] / mc._NOISE_REL)
+        scale.insert(0, [mc._NOISE_REL])
+    if scanner.right_limit:
+        rows.append((columns == n)[None, :] / mc._NOISE_REL)
+        scale.append([mc._NOISE_REL])
+    rows, u_scale = np.vstack(rows), np.concatenate(scale)
+    c = math.sqrt(2.0 * (50.0 + math.log(len(rows))))
+    g, _ = engine.latent_factor(
+        *engine.dense(rows * u_scale[:, None]), mc._MARGIN_U, c
+    )
+    return columns, rows, u_scale, g.shape[1]
+
+
+@pytest.mark.parametrize(
+    "n, kind",
+    [(144, "full"), (36, "main"), (2000, "low"), (10**4, "low"), (10**4, "high")],
+)
+def test_windowed_scanner_matches_the_dense_build(n, kind):
+    # the windows drop only entries below _PRUNE_REL of their row's peak, so
+    # the kept columns, the rank and every classify() verdict are the dense
+    # build's, and the padded values agree to the rounding of their sums
+    scanner = _SignScanner(n, IntervalSpec(kind))
+    columns, rows, u_scale, rank = _dense_build(scanner)
+    np.testing.assert_array_equal(scanner.columns, columns)
+    assert scanner.rank == rank
+    rtol = 1e-11 if n >= 3000 else 1e-12
+    np.testing.assert_allclose(scanner.u_scale, u_scale, rtol=rtol, atol=0.0)
+    rng = np.random.default_rng(n + 1)
+    a = rng.standard_normal((n + 1, 2000))
+    a[:, 1000:] = np.abs(a[:, 1000:])  # positive polynomials
+    verdicts, u_pad = scanner.classify(a)
+    v = rows @ a[columns]
+    expected = np.full(a.shape[1], _SignScanner.ESCALATE, dtype=np.int8)
+    negdef = (v < -1.0).any(axis=0)
+    expected[negdef] = _SignScanner.REJECT
+    u_dense = v * u_scale[:, None]
+    if kind != "full":
+        cleared = (np.minimum(u_dense[:-1], u_dense[1:]) >= scanner.kappa).all(axis=0)
+        ambig = (np.abs(v) <= 1.0).any(axis=0)
+        expected[cleared & ~negdef & ~ambig] = _SignScanner.ACCEPT
+    np.testing.assert_array_equal(verdicts, expected)
+    assert np.count_nonzero(verdicts == _SignScanner.REJECT) > 500
+    assert np.count_nonzero(verdicts != _SignScanner.REJECT) >= 1000
+    size = (np.abs(rows) @ np.abs(a[columns])) * u_scale[:, None]
+    assert np.all(np.abs(u_pad - u_dense) <= rtol * size)
 
 
 @pytest.mark.parametrize("n, kind", [(144, "full"), (10**4, "low"), (36, "main")])
@@ -458,21 +538,29 @@ def test_latent_rank_is_low_where_the_grid_is_smooth():
 
 
 @pytest.mark.parametrize(
-    "n, kind", [(2000, "low"), (3000, "main"), (10**4, "low"), (10**4, "high")]
+    "n, kind",
+    [
+        (2000, "low"),
+        (3000, "main"),
+        (10**4, "low"),
+        (10**4, "high"),
+        (10**4, "full"),
+    ],
 )
 def test_pruned_columns_fit_in_the_noise_threshold(n, kind):
-    # the weights of the dropped columns, D_j, move a padded value by
-    # |D_j a| <= |D_j| |a|, far inside tau while |a| <= sqrt(n+1) + 10
+    # the weights outside a row's window (dropped columns included), D_j,
+    # move a padded value by |D_j a| <= |D_j| |a|, far inside tau while
+    # |a| <= sqrt(n+1) + 10
     scanner = _SignScanner(n, IntervalSpec(kind))
-    dropped = np.ones(n + 1, dtype=bool)
-    dropped[scanner.columns] = False
-    assert dropped.any()
+    rows = _dense_rows(scanner)[scanner.left_limit :][: len(scanner.xs)]
     logw = log_binomial_row(n)
     i = np.arange(n + 1, dtype=float)
-    for x in scanner.xs:
+    for x, row in zip(scanner.xs, rows):
         lt = logw + i * math.log(x)
         w = np.exp(lt - lt.max())
         tau = mc._NOISE_REL * w.sum()
+        dropped = np.ones(n + 1, dtype=bool)
+        dropped[scanner.columns[row != 0.0]] = False
         assert np.linalg.norm(w[dropped]) * (math.sqrt(n + 1) + 10.0) <= 1e-3 * tau
 
 
@@ -714,8 +802,8 @@ def test_cached_scanner_is_read_only():
     scanner = mc._scanner(36, LOW_INTERVAL, 0.25)
     assert mc._scanner(36, LOW_INTERVAL, 0.25) is scanner
     with pytest.raises(ValueError):
-        scanner._rows[0, 0] = 0.0
-    names = ("ts", "xs", "t_pad", "columns", "u_scale", "_g", "_v", "margin")
+        scanner._win[0, 0] = 0.0
+    names = ("ts", "xs", "t_pad", "columns", "_off", "u_scale", "_g", "_v", "margin")
     for name in names:
         assert not getattr(scanner, name).flags.writeable, name
     for name in ("rows", "l", "q", "rho", "thr"):

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from scipy.stats import norm
+from scipy.stats import norm, t as student_t
 
 from persistlab import stats
 from persistlab.stats import PersistenceEstimate, SplittingEstimate, wilson_ci
@@ -89,3 +89,14 @@ def test_wilson_quantile_is_memoized_exactly():
     for level in (0.9, 0.95, 0.99):
         assert stats._z(level) == float(norm.ppf(0.5 + level / 2.0))
         assert stats._z(level) is stats._z(level)
+
+
+def test_splitting_interval_uses_the_student_t_quantile():
+    # the interval's quantile is the float scipy.stats.t.ppf gives
+    for df in range(1, 31):
+        reps = [1e-6 * (1.0 + 0.1 * k) for k in range(df + 1)]
+        est = SplittingEstimate.from_replicates(reps, 500, 10, 100, 0)
+        z = float(student_t.ppf(0.975, df))
+        se = est.log_p_stderr
+        assert est.ci_low == est.p_hat * math.exp(-z * se)
+        assert est.ci_high == min(1.0, est.p_hat * math.exp(z * se))
