@@ -10,10 +10,10 @@ Per-sample decisions:
   exact.
 * restricted intervals (low / high / main): statistical with guards.  The
   time-grid step resolves the O(1) correlation scale; grid-positive samples
-  are accepted once every cell clears a conditional-dip threshold, suspicious
-  cells are refined locally, and rare unresolved samples escalate to the
-  exact roots.is_persistent(p, lo, hi) (conservative reject above the
-  exact-degree cutoff, counted in the estimate's `unresolved`).
+  are accepted once every cell clears a conditional-dip threshold, the other
+  escalated samples' cells are bisected in one batch (_refine), and the few
+  left undecided escalate to the exact roots.is_persistent(p, lo, hi)
+  (conservative reject above the exact-degree cutoff, counted in `unresolved`).
 
 The scan runs in a latent space.  On the t-grid the normalized polynomial is
 close to a smooth stationary process (kernel e^(-tau^2/4)), so the Gram
@@ -79,18 +79,14 @@ from .engine import (
     _run_units,
     latent_factor,
 )
-from .kernel import (
-    alpha_shift,
-    autocorr_limit_gap,
-    main_window_width,
-    mn_exact,
-    transform_x,
-)
+from .kernel import alpha_shift, autocorr_limit_gap, main_window_width, transform_x
 from .logscale import log_binomial_row
-from .polys import BinomialPolynomial, eval_f
+from .polys import BinomialPolynomial
 from .roots import bernstein_verdicts, is_persistent
-from .roots import count_roots_in  # noqa: F401  (perfbench traces it here by name)
 from .stats import PersistenceEstimate, SplittingEstimate
+from .kernel import mn_exact  # noqa: F401  (perfbench traces it here by name)
+from .polys import eval_f  # noqa: F401  (perfbench traces it here by name)
+from .roots import count_roots_in  # noqa: F401  (perfbench traces it here by name)
 
 __all__ = [
     "IntervalSpec",
@@ -227,7 +223,7 @@ class _SignScanner:
 
     classify() maps a batch of coefficient vectors to verdicts
     -1 (certifiably nonpositive somewhere), +1 (positive with clearance,
-    restricted intervals only), 0 (needs per-sample work).
+    restricted intervals only), 0 (escalated, for _decide).
 
     scan() gives the same verdicts from latent vectors xi ~ N(0, I_r).  The
     padded rows of classify() (limit rows first and last, each in units of
@@ -520,65 +516,57 @@ class _SignScanner:
         a[self.columns] = zc + self._v.T @ (xi - self._v @ zc)
         return a
 
-    # -- per-sample resolution for restricted intervals --
 
-    def _u_at(self, p: BinomialPolynomial, t: float) -> float:
-        span = math.pi * math.sqrt(self.n)
-        if t <= 1e-12:
-            return float(p.coefficients[0])
-        if t >= span * (1.0 - 1e-15):
-            return float(p.coefficients[-1])
-        x = transform_x(t, self.n)
-        v = eval_f(p, x)
-        if v.sign == 0:
-            return 0.0
-        return v.sign * math.exp(v.log_abs - 0.5 * mn_exact(self.n, x).log_abs)
+def _u_at(n: int, ts: np.ndarray, a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """u = f(x) / sqrt(M(x)) at x = x(ts[k]) for the coefficient column
+    a[:, cols[k]], for each pair k, with 0 < ts[k] < pi sqrt(n): the
+    windowed dot product of _weight_windows's row at x with the column over
+    the window's norm, which differs from f / sqrt(M) by the weights below
+    _PRUNE_REL that _SignScanner bounds."""
+    times, row = np.unique(ts, return_inverse=True)
+    lo, hi, logw = _weight_windows(n, np.array([transform_x(t, n) for t in times]))
+    width = int((hi - lo).max()) + 1
+    index = np.minimum(lo, n + 1 - width)[:, None] + np.arange(width)
+    w = np.zeros(index.shape)
+    np.exp(logw(index), out=w, where=(index >= lo[:, None]) & (index <= hi[:, None]))
+    w /= np.linalg.norm(w, axis=1)[:, None]
+    return np.einsum("kw,kw->k", w[row], a[index[row], cols[:, None]])
 
-    def _certify(self, p, t0, t1, u0, u1, depth) -> bool | None:
-        if u0 < -_AMBIG_NORMALIZED or u1 < -_AMBIG_NORMALIZED:
-            return False
-        if abs(u0) <= _AMBIG_NORMALIZED or abs(u1) <= _AMBIG_NORMALIZED:
-            return None
-        if min(u0, u1) >= _clearance(t1 - t0):
-            return True
-        if depth <= 0:
-            return None
-        tm = 0.5 * (t0 + t1)
-        um = self._u_at(p, tm)
-        left = self._certify(p, t0, tm, u0, um, depth - 1)
-        if left is False:
-            return False
-        right = self._certify(p, tm, t1, um, u1, depth - 1)
-        if right is False:
-            return False
-        if left is None or right is None:
-            return None
-        return True
 
-    def resolve(self, coeffs: np.ndarray, u_col: np.ndarray) -> bool | None:
-        """Settle one escalated sample: local refinement of every cell, exact
-        fallback when refinement cannot certify either way; None when neither
-        can decide (above the exact-fallback degree)."""
-        p = BinomialPolynomial(self.n, coeffs)
-        needs_exact = False
-        for k in range(len(self.t_pad) - 1):
-            got = self._certify(
-                p,
-                float(self.t_pad[k]),
-                float(self.t_pad[k + 1]),
-                float(u_col[k]),
-                float(u_col[k + 1]),
-                _REFINE_DEPTH,
-            )
-            if got is False:
-                return False
-            if got is None:
-                needs_exact = True
-        if not needs_exact:
-            return True
-        if self.n <= _EXACT_FALLBACK_MAX_DEGREE:
-            return is_persistent(p, *self.interval.x_range(self.n))
-        return None
+def _refine(scanner: _SignScanner, a: np.ndarray, u_pad: np.ndarray) -> np.ndarray:
+    """Verdict per coefficient column of a on a restricted interval from its
+    padded values u_pad (classify()): -1 (not persistent) when an end of a
+    cell is below -_AMBIG_NORMALIZED, else 0 (for the exact check) when one
+    is within _AMBIG_NORMALIZED of zero or a cell stays open after
+    _REFINE_DEPTH bisections, else +1.  A cell closes once both ends clear
+    the conditional-dip threshold of its width; every open (column, cell)
+    pair of a level is split at its midpoint in one pass."""
+    t = scanner.t_pad
+    b = a.shape[1]
+    col = np.repeat(np.arange(b), len(t) - 1)
+    t0, t1 = np.tile(t[:-1], b), np.tile(t[1:], b)
+    u0, u1 = u_pad[:-1].T.ravel(), u_pad[1:].T.ravel()
+    rejected = np.zeros(b, dtype=bool)
+    undecided = np.zeros(b, dtype=bool)
+    for depth in range(_REFINE_DEPTH, -1, -1):
+        low = np.minimum(u0, u1)
+        rejected[col[low < -_AMBIG_NORMALIZED]] = True
+        # an end near zero, or a rejected pair (its column gets -1 anyway)
+        ambiguous = low <= _AMBIG_NORMALIZED
+        undecided[col[ambiguous]] = True
+        # _clearance's scalar floats, one call per distinct width
+        widths, which = np.unique(t1 - t0, return_inverse=True)
+        clear = np.array([_clearance(float(w)) for w in widths])[which]
+        split = np.flatnonzero(~ambiguous & (low < clear) & ~rejected[col])
+        if depth == 0 or split.size == 0:
+            undecided[col[split]] = True  # pairs open at the last level
+            break
+        tm = 0.5 * (t0[split] + t1[split])
+        um = _u_at(scanner.n, tm, a, col[split])
+        col = np.concatenate([col[split], col[split]])
+        t0, t1 = np.concatenate([t0[split], tm]), np.concatenate([tm, t1[split]])
+        u0, u1 = np.concatenate([u0[split], um]), np.concatenate([um, u1[split]])
+    return np.where(rejected, -1, np.where(undecided, 0, 1)).astype(np.int8)
 
 
 def _decide(
@@ -586,27 +574,30 @@ def _decide(
 ) -> tuple[np.ndarray, int, int]:
     """Persistence verdict per coefficient column from classify()'s output,
     how many columns no check could decide (scored as not persistent) and
-    how many the exact full-axis check decided.  Accepted columns persist.
-    On the full axis the escalated columns are settled together by the
-    certified Bernstein bisection (persistent: no positive root and
-    a_0 > 0), and the ones it leaves undecided one by one by the exact
-    is_persistent; on restricted intervals each is refined, then decided
-    exactly."""
+    how many the exact is_persistent decided.  Accepted columns persist.
+    The escalated columns are settled together first: on the full axis by
+    the certified Bernstein bisection (persistent: no positive root and
+    a_0 > 0), on a restricted interval by _refine.  The ones left undecided
+    go one by one to the exact is_persistent on the interval, which a
+    restricted interval calls only up to _EXACT_FALLBACK_MAX_DEGREE."""
     persistent = verdicts == _SignScanner.ACCEPT
     escalated = np.flatnonzero(verdicts == _SignScanner.ESCALATE)
-    if scanner.interval.kind == "full":
+    if len(escalated) == 0:
+        return persistent, 0, 0
+    n, interval = scanner.n, scanner.interval
+    if interval.kind == "full":
         certified = bernstein_verdicts(a[:, escalated])
         persistent[escalated] = (certified > 0) & (a[0, escalated] > 0.0)
-        fallback = escalated[certified == 0]
-        for j in fallback:
-            persistent[j] = is_persistent(BinomialPolynomial(scanner.n, a[:, j]))
-        return persistent, 0, len(fallback)
-    unresolved = 0
-    for j in escalated:
-        ok = scanner.resolve(a[:, j], u_pad[:, j])
-        unresolved += ok is None
-        persistent[j] = bool(ok)
-    return persistent, unresolved, 0
+    else:
+        certified = _refine(scanner, a[:, escalated], u_pad[:, escalated])
+        persistent[escalated] = certified > 0
+    undecided = escalated[certified == 0]
+    if interval.kind != "full" and n > _EXACT_FALLBACK_MAX_DEGREE:
+        return persistent, len(undecided), 0
+    for j in undecided:
+        p = BinomialPolynomial(n, a[:, j])
+        persistent[j] = is_persistent(p, *interval.x_range(n))
+    return persistent, 0, len(undecided)
 
 
 @_kept(_SCANNER_CACHE_BYTES)

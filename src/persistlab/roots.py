@@ -607,27 +607,34 @@ def _isolate_on_chain(chain: SturmChain) -> list[tuple[Fraction, Fraction]]:
 def _refine_on_ints(
     ints: Sequence[int], lo: Fraction, hi: Fraction, tol: float
 ) -> float:
+    """Bisect the isolating interval (lo, hi] of a root of ints to width
+    tol on integer numerators over a denominator that doubles each step
+    (a power of two: isolation leaves dyadic ends); the floats returned
+    are correctly rounded quotients, as Fraction's are."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    s_hi = _sign_at(ints, hi.numerator, hi.denominator)
+    den = math.lcm(lo.denominator, hi.denominator)
+    lo_num, hi_num = int(lo * den), int(hi * den)
+    s_hi = _sign_at(ints, hi_num, den)
     if s_hi == 0:
-        return float(hi)
-    s_lo = _sign_at(ints, lo.numerator, lo.denominator)
+        return hi_num / den
+    s_lo = _sign_at(ints, lo_num, den)
     if s_lo == 0:
         # the interval is open at lo; the root inside must be elsewhere
         raise ValueError("lower endpoint is a root; not an isolating interval")
     if s_lo == s_hi:
         raise ValueError("no sign change across the interval")
-    while float(hi - lo) > tol:
-        mid = (lo + hi) / 2
-        s_mid = _sign_at(ints, mid.numerator, mid.denominator)
+    while (hi_num - lo_num) / den > tol:
+        mid = lo_num + hi_num
+        den *= 2
+        s_mid = _sign_at(ints, mid, den)
         if s_mid == 0:
-            return float(mid)
+            return mid / den
         if s_mid == s_lo:
-            lo = mid
+            lo_num, hi_num = mid, 2 * hi_num
         else:
-            hi = mid
-    return float((lo + hi) / 2)
+            lo_num, hi_num = 2 * lo_num, mid
+    return (lo_num + hi_num) / (2 * den)
 
 
 def locate_positive_roots(p: DyadicPolynomial, tol: float = 1e-12) -> list[float]:

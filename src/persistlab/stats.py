@@ -65,9 +65,9 @@ class PersistenceEstimate(_Interval):
     fallback could decide; they are counted as failures (conservative).
     `escalated` counts the samples the latent scan could not settle, which
     were lifted to coefficient vectors and decided there.  `exact` counts
-    the lifted full-axis samples and games that the batched float
-    certificate (roots.bernstein_verdicts) left undecided, which the exact
-    Fraction path then decided; restricted intervals leave it 0.
+    the lifted samples and games that the batched float checks (full axis:
+    roots.bernstein_verdicts; restricted: mc._refine) left undecided, which
+    the exact Fraction path then decided.
     """
 
     successes: int

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -200,6 +201,21 @@ def test_import_leaves_scipy_stats_unloaded():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer wraps module attributes by name; one that a
+    # module stops importing would fail only the traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        (module, attr)
+        for module, attr, _ in spans.BOUNDARIES
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert spans.BOUNDARIES and missing == []
 
 
 def test_version_flag():

@@ -28,9 +28,9 @@ from persistlab.mc import (
 )
 from persistlab import engine, mc
 from persistlab.games import prob_no_internal_equilibria
-from persistlab.kernel import mn_exact
+from persistlab.kernel import mn_exact, transform_x
 from persistlab.logscale import log_binomial_row
-from persistlab.polys import BinomialPolynomial
+from persistlab.polys import BinomialPolynomial, eval_f
 from persistlab.roots import is_persistent
 from persistlab.stats import PersistenceEstimate
 
@@ -156,6 +156,8 @@ def test_scanner_restricted_agrees_with_exact():
     rng = np.random.default_rng(56)
     a = rng.standard_normal((n + 1, 500))
     verdicts, u_pad = scanner.classify(a)
+    persistent, unresolved, _ = mc._decide(scanner, a, verdicts, u_pad)
+    assert unresolved == 0
     x_hi = LOW_INTERVAL.x_range(n)[1]
     for j in range(a.shape[1]):
         p = BinomialPolynomial(n, a[:, j])
@@ -169,7 +171,114 @@ def test_scanner_restricted_agrees_with_exact():
         elif verdicts[j] == _SignScanner.ACCEPT:
             assert exact
         else:
-            assert scanner.resolve(a[:, j], u_pad[:, j]) == exact
+            assert persistent[j] == exact
+
+
+def _scalar_u(scanner, p, t):
+    """u = f / sqrt(M) at one t from the log-domain sums eval_f and
+    mn_exact (the limit values a_0 and a_n at the ends of the axis)."""
+    n = scanner.n
+    span = math.pi * math.sqrt(n)
+    if t <= 1e-12:
+        return float(p.coefficients[0])
+    if t >= span * (1.0 - 1e-15):
+        return float(p.coefficients[-1])
+    x = transform_x(t, n)
+    v = eval_f(p, x)
+    if v.sign == 0:
+        return 0.0
+    return v.sign * math.exp(v.log_abs - 0.5 * mn_exact(n, x).log_abs)
+
+
+def _certify(scanner, p, t0, t1, u0, u1, depth):
+    """One cell of the recursive reference: False (rejected), None
+    (undecided) or True (cleared), bisecting at most depth times."""
+    if u0 < -mc._AMBIG_NORMALIZED or u1 < -mc._AMBIG_NORMALIZED:
+        return False
+    if abs(u0) <= mc._AMBIG_NORMALIZED or abs(u1) <= mc._AMBIG_NORMALIZED:
+        return None
+    if min(u0, u1) >= mc._clearance(t1 - t0):
+        return True
+    if depth <= 0:
+        return None
+    tm = 0.5 * (t0 + t1)
+    um = _scalar_u(scanner, p, tm)
+    left = _certify(scanner, p, t0, tm, u0, um, depth - 1)
+    if left is False:
+        return False
+    right = _certify(scanner, p, tm, t1, um, u1, depth - 1)
+    if right is False:
+        return False
+    if left is None or right is None:
+        return None
+    return True
+
+
+def refine_reference(scanner, coeffs, u_col, depth):
+    """The per-sample recursive refinement that mc._refine batches, one cell
+    of the padded grid at a time with scalar evaluations: -1 when a cell
+    rejects, else 0 when one is undecided, else 1."""
+    p = BinomialPolynomial(scanner.n, coeffs)
+    undecided = False
+    t = scanner.t_pad
+    for k in range(len(t) - 1):
+        got = _certify(
+            scanner, p, float(t[k]), float(t[k + 1]), float(u_col[k]),
+            float(u_col[k + 1]), depth,
+        )
+        if got is False:
+            return -1
+        undecided |= got is None
+    return 0 if undecided else 1
+
+
+def _final_stage(scanner, seed, particles):
+    """The lifted particles that one splitting replicate's final stage hands
+    to _decide."""
+    final = []
+    decide = mc._decide
+
+    def recording_decide(scanner, a, verdicts, u_pad):
+        final.append(a)
+        return decide(scanner, a, verdicts, u_pad)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "_decide", recording_decide)
+        _splitting_replicate(scanner, seed, particles)
+    return final[-1]
+
+
+@pytest.mark.parametrize(
+    "n, kind", [(16, "low"), (100, "high"), (36, "main"), (1000, "low")]
+)
+def test_refine_matches_the_recursive_reference(n, kind, monkeypatch):
+    # random columns around three offsets, the zero polynomial and the
+    # lifted particles of a splitting final stage (at n = 1000 nearly all
+    # escalations come from there): _refine gives every escalated column
+    # the recursive reference's verdict, at the default depth and at depth 1,
+    # where cells stay open at the last level
+    scanner = _SignScanner(n, IntervalSpec(kind))
+    rng = np.random.default_rng(n)
+    a = np.hstack(
+        [off + rng.standard_normal((n + 1, 700)) for off in (0.0, 0.5, 1.0)]
+        + [np.zeros((n + 1, 1)), _final_stage(scanner, (n, 5), 200)]
+    )
+    verdicts, u_pad = scanner.classify(a)
+    escalated = np.flatnonzero(verdicts == _SignScanner.ESCALATE)
+    assert len(escalated) >= 40
+    seen = set()
+    for depth in (mc._REFINE_DEPTH, 1):
+        monkeypatch.setattr(mc, "_REFINE_DEPTH", depth)
+        got = mc._refine(scanner, a[:, escalated], u_pad[:, escalated])
+        want = [refine_reference(scanner, a[:, j], u_pad[:, j], depth) for j in escalated]
+        assert got.tolist() == want, depth
+        seen.update(want)
+    assert seen == {-1, 0, 1}
+    # the batched evaluator against the scalar one at the cell midpoints
+    t = 0.5 * (scanner.t_pad[:-1] + scanner.t_pad[1:])
+    cols = escalated[np.arange(len(t)) % len(escalated)]
+    want = [_scalar_u(scanner, BinomialPolynomial(n, a[:, j]), s) for s, j in zip(t, cols)]
+    np.testing.assert_allclose(mc._u_at(n, t, a, cols), want, rtol=1e-12, atol=1e-13)
 
 
 def test_auto_budget_scales_with_rarity():
@@ -273,8 +382,9 @@ def test_latent_scan_agrees_with_classify_on_lifts(n, kind):
     gap = np.abs(scanner._g[sieve.rows] @ xi - sieve.l @ eta)
     assert np.all(gap <= sieve.rho[:, None])
     assert np.all(exact[latent == _SignScanner.REJECT] == _SignScanner.REJECT)
-    for j in np.flatnonzero(latent == _SignScanner.ACCEPT):
-        assert exact[j] == _SignScanner.ACCEPT or scanner.resolve(a[:, j], u_pad[:, j])
+    accepted = latent == _SignScanner.ACCEPT
+    decided = mc._decide(scanner, a[:, accepted], exact[accepted], u_pad[:, accepted])
+    assert np.all(decided[0])
     assert np.count_nonzero(latent == _SignScanner.REJECT) > 1000
     if kind != "full" and n <= 100:  # p is far below 1/3000 at n = 2000
         assert np.count_nonzero(latent == _SignScanner.ACCEPT) > 0
@@ -634,9 +744,10 @@ def test_splitting_final_stage_uses_scanner_verdicts(monkeypatch):
         a, persistent = final.pop()
         assert a.shape == (37, 200)
         verdicts, u_pad = scanner.classify(a)
+        decided = decide(scanner, a, verdicts, u_pad)[0]
         for j in range(a.shape[1]):
             if verdicts[j] == _SignScanner.ESCALATE:
-                expected = scanner.resolve(a[:, j], u_pad[:, j])
+                expected = decided[j]
             else:
                 expected = verdicts[j] == _SignScanner.ACCEPT
             assert persistent[j] == expected
@@ -745,6 +856,8 @@ def test_restricted_exact_decisions_are_pinned():
     # takes seconds): is_persistent's verdicts must not change one of them
     low = estimate_persistence(100, LOW_INTERVAL, 20_000, seed=7)
     assert (low.successes, low.escalated, low.unresolved) == (359, 91, 0)
+    # the one lifted sample that batched refinement leaves undecided
+    assert low.exact == 1
 
 
 def _unsieved_successes(scanner, samples, seed):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persistlab import roots
+from persistlab.games import GamePayoffs, equilibrium_polynomial
 from persistlab.mc import IntervalSpec
 from persistlab.polys import BinomialPolynomial, sample_polynomial
 from persistlab.roots import (
@@ -310,6 +311,47 @@ def test_locate_positive_roots():
 
 def test_refine_hits_exact_dyadic_root():
     assert locate_positive_roots(dyadic(-0.5, 1.0)) == [0.5]  # root exactly 1/2
+
+
+def refine_in_fractions(ints, lo, hi, tol):
+    """Bisection of an isolating interval in Fractions: the reference for
+    roots._refine_on_ints, which bisects integer numerators."""
+    s_hi = roots._sign_at(ints, hi.numerator, hi.denominator)
+    if s_hi == 0:
+        return float(hi)
+    s_lo = roots._sign_at(ints, lo.numerator, lo.denominator)
+    while float(hi - lo) > tol:
+        mid = (lo + hi) / 2
+        s_mid = roots._sign_at(ints, mid.numerator, mid.denominator)
+        if s_mid == 0:
+            return float(mid)
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return float((lo + hi) / 2)
+
+
+def test_refinement_matches_fraction_bisection_on_games():
+    # the roots of 2000 random games at 2 to 9 players, as criterion 10
+    # locates them, plus exact dyadic roots at a midpoint and at hi
+    rng = np.random.default_rng(1010)
+    cases = [dyadic(-0.5, 1.0), dyadic(-1.0, 1.0), dyadic(-3.0, 7.0, -5.0, 1.0)]
+    for k in range(2000):
+        game = GamePayoffs.from_differences(rng.standard_normal(2 + k % 8))
+        cases.append(equilibrium_polynomial(game))
+    refined = 0
+    for p in cases:
+        chain = roots._squarefree_chain(p)
+        ints = chain.elements[0]
+        if len(ints) <= 1:
+            continue
+        for lo, hi in roots._isolate_on_chain(chain):
+            for tol in (1e-12, 1e-3):
+                got = roots._refine_on_ints(ints, lo, hi, tol)
+                assert got == refine_in_fractions(ints, lo, hi, tol), (ints, lo, hi)
+                refined += 1
+    assert refined > 2000
 
 
 def test_isolation_with_repeated_roots():
