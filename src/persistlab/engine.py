@@ -20,17 +20,19 @@ xi ~ N(0, I_r):
 
 from __future__ import annotations
 
+import atexit
 import functools
 import itertools
 import math
-import multiprocessing
 import os
 import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 # relative gap below which two peak magnitudes of a factor column tie; far
 # above the ~1e-7 relative drift of the smallest kept columns between LAPACK
@@ -308,10 +310,16 @@ _kept_pool: dict[int, ProcessPoolExecutor] = {}  # at most one: workers -> pool
 def _pool(workers: int) -> ProcessPoolExecutor:
     """This process's pool of `workers` workers, started on first use and
     kept for later calls; asking for another size replaces it.  At
-    interpreter exit concurrent.futures' own exit hook joins its workers; if
-    this process is killed, they get SIGTERM (_init_worker).  Estimates are
-    called from one thread, so the check-then-replace needs no lock."""
+    interpreter exit concurrent.futures' own exit hook joins its workers and
+    the atexit hook below drops the pool; if this process is killed, they
+    get SIGTERM (_init_worker).  Estimates are called from one thread, so the
+    check-then-replace needs no lock.  concurrent.futures and
+    multiprocessing are imported here, on first use, so a process that
+    never pools does not load them."""
     if workers not in _kept_pool:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         _drop_pool()
         # fork on Linux whatever the default start method (forkserver from
         # Python 3.14): a forkserver's workers are its children, not this
@@ -332,6 +340,12 @@ def _drop_pool() -> None:
     _kept_pool.clear()
 
 
+# _pool imports concurrent.futures after this module, so interpreter teardown
+# clears it first; a pool still kept then is collected with its module gone,
+# and its weakref callback fails ("Exception ignored ... no attribute 'util'")
+atexit.register(_drop_pool)
+
+
 def _run_slice(build, args, run, units) -> list:
     state = build(*args)
     return [run(state, *unit) for unit in units]
@@ -350,6 +364,8 @@ def _run_units(build, args, run, units: list, workers: int) -> list:
     k = min(workers, len(units))
     if k <= 1:
         return _run_slice(build, args, run, units)
+    from concurrent.futures.process import BrokenProcessPool
+
     cuts = [len(units) * w // k for w in range(k + 1)]
     slices = [units[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 

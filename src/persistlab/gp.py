@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
 
 from .engine import (
     Sieve,
@@ -54,6 +53,7 @@ from .engine import (
     dense,
     latent_factor,
 )
+from .logscale import _log_factorials
 from .stats import PersistenceEstimate
 
 __all__ = [
@@ -119,26 +119,57 @@ class FactorizationError(RuntimeError):
         self.jitter = jitter
 
 
+def _poisson_tails(y: float, k: int) -> np.ndarray:
+    """P(X > j) for X ~ Poisson(y) at j = k, k + 1, ..., in one reverse
+    cumulative pass over the terms P(X = i), i > k.
+
+    ln P(X = k + 1) comes from math.lgamma and each later term from the
+    ratio y / i, all carried in logs against the largest term.  The terms
+    run out to where they fall e^-745 below it and underflow (50 sqrt(y) +
+    800 past the mode reaches e^-1269 at y = 10^6), so the tails fall to 0.
+    """
+    if y == 0.0:
+        return np.zeros(1)
+    span = max(0, int(y) - k) + int(50.0 * math.sqrt(y)) + 800
+    i = np.arange(k + 2, k + 2 + span, dtype=float)
+    first = -y + (k + 1) * math.log(y) - math.lgamma(k + 2.0)
+    log_terms = np.concatenate(([first], first + np.cumsum(np.log(y / i))))
+    top = float(log_terms.max())
+    tails = np.cumsum(np.exp(log_terms - top)[::-1])[::-1]
+    return math.exp(top) * tails
+
+
+def _truncation_start(y: float) -> int:
+    """The least K required_truncation tries; series_tail_bound starts its
+    pass there too, so the two read the same floats."""
+    return max(0, int(y))
+
+
 def series_tail_bound(kernel: GaussianKernel, horizon: float, truncation: int) -> float:
     """sup over t <= horizon of the truncated-tail variance of the series.
 
     The tail equals the upper Poisson tail P(X > K) at rate (T/s)^2, which is
-    monotone in t, so the supremum sits at t = horizon.
+    monotone in t, so the supremum sits at t = horizon.  It is summed from
+    the Poisson terms without scipy (_poisson_tails, within 1e-10 relative
+    of scipy.special.pdtrc), on the pass required_truncation reads, so the
+    two give the same float at every K it tries.
     """
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
     y = (horizon / kernel.scale) ** 2
-    return float(pdtrc(truncation, y))
+    start = min(truncation, _truncation_start(y))
+    tails = _poisson_tails(y, start)[truncation - start :]
+    return float(tails[0]) if len(tails) else 0.0
 
 
 def required_truncation(
     kernel: GaussianKernel, horizon: float, tol: float = SERIES_TAIL_TOL
 ) -> int:
-    """Smallest K whose tail bound is below tol; K ~ (T/s)^2 + O(T/s)."""
-    k = max(0, int((horizon / kernel.scale) ** 2))
-    while series_tail_bound(kernel, horizon, k) >= tol:
-        k += 1
-    return k
+    """Smallest K whose tail bound is below tol; K ~ (T/s)^2 + O(T/s).  One
+    pass gives the tails at every K from (T/s)^2 up (_poisson_tails)."""
+    y = (horizon / kernel.scale) ** 2
+    start = _truncation_start(y)
+    return start + int(np.argmax(_poisson_tails(y, start) < tol))
 
 
 def _design_matrix(
@@ -151,7 +182,7 @@ def _design_matrix(
     with np.errstate(invalid="ignore"):
         log_phi = (
             k[None, :] * log_u[:, None]
-            - 0.5 * gammaln(k + 1.0)[None, :]
+            - 0.5 * _log_factorials(np.arange(truncation + 1))[None, :]
             - 0.5 * (u * u)[:, None]
         )
         phi = np.exp(log_phi)

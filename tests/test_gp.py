@@ -59,6 +59,35 @@ def test_tail_bound_and_truncation():
     assert series_tail_bound(k, 8.0, K) == pytest.approx(direct, abs=1e-13)
 
 
+def test_tail_bound_matches_scipy_pdtrc():
+    # the tail is summed without scipy; scipy's pdtrc, which gave it
+    # before, is the reference
+    from scipy.special import pdtrc
+
+    unit = GaussianKernel(1.0)
+    horizons = [*np.linspace(0.1, 10.0, 34), *np.linspace(10.5, 84.85, 17)]
+    for horizon in map(float, horizons):
+        y = horizon**2  # up to 7200
+        top = int(y + 10.0 * math.sqrt(y) + 40.0)
+        for k in range(math.ceil(y), top + 1, max(1, int(math.sqrt(y) / 4))):
+            ref = float(pdtrc(k, y))
+            assert series_tail_bound(unit, horizon, k) == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("kernel", [DEFAULT_KERNEL, HALF_TIME_KERNEL])
+def test_truncation_matches_scipy_pdtrc_search(kernel):
+    # the K the scalar search over scipy's pdtrc found, at every horizon of
+    # a 0.25 grid out to T = 120
+    from scipy.special import pdtrc
+
+    for horizon in 0.25 * np.arange(1, 481):
+        y = (float(horizon) / kernel.scale) ** 2
+        start = max(0, int(y))
+        ks = np.arange(start, start + int(20.0 * math.sqrt(y)) + 60)
+        expected = start + int(np.argmax(pdtrc(ks, y) < SERIES_TAIL_TOL))
+        assert required_truncation(kernel, float(horizon)) == expected
+
+
 def test_series_rejects_insufficient_truncation():
     with pytest.raises(ValueError):
         sample_paths_series(DEFAULT_KERNEL, 8.0, 0.25, 10, np.random.default_rng(0), 10)

@@ -5,6 +5,7 @@ import pytest
 
 from persistlab.logscale import (
     SignedLogValue,
+    _log_factorials,
     log_binomial,
     log_binomial_row,
     signed_log_sum,
@@ -76,6 +77,20 @@ def test_log_binomial_row_matches_exact_integers():
         row = log_binomial_row(n)
         exact = [math.log(math.comb(n, i)) for i in range(n + 1)]
         assert np.allclose(row, exact, rtol=1e-12, atol=1e-12)
+
+
+def test_log_factorials_are_scipy_gammaln_bit_for_bit():
+    # scipy's gammaln built the rows before, so every fixed-seed output
+    # stays unchanged only if these floats are its floats
+    from scipy.special import gammaln
+
+    ks = np.concatenate([np.arange(30_000), [10**8 - 1, 10**8, 10**12, 2**52]])
+    np.testing.assert_array_equal(_log_factorials(ks), gammaln(ks + 1.0))
+    for n in list(range(0, 200)) + [997, 1000, 4096, 10_000, 20_000]:
+        i = np.arange(n + 1, dtype=float)
+        ref = gammaln(n + 1.0) - gammaln(i + 1.0) - gammaln(n - i + 1.0)
+        np.testing.assert_array_equal(log_binomial_row(n), ref)
+        assert log_binomial(n, n // 3) == ref[n // 3]
 
 
 def test_log_binomial_row_cached_readonly():
