@@ -183,7 +183,7 @@ def _no_equilibria_block(scanner: _SignScanner, *blocks) -> tuple[int, int, int]
     xi = _columns(rngs, scanner.rank, edges)
     lifted = np.flatnonzero(~scanner.sign_change(xi))
     z = _columns(rngs, scanner.n + 1, np.searchsorted(lifted, edges))
-    a = scanner.lift(xi[:, lifted], z)
+    a = scanner.lift(xi.take(lifted, axis=1), z)
     none, exact = _no_positive_root(scanner.n, a)
     return int(np.count_nonzero(none)), len(lifted), exact
 

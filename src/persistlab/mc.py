@@ -120,9 +120,9 @@ _W_MAX_ELEMENTS = 15_000_000
 _MARGIN_U = 1e-4  # largest latent row residual margin, in normalized units
 _PRUNE_REL = 1e-16  # columns below this fraction of every row's peak weight drop
 _FLOAT_SLACK = 1e-3  # tau units; covers the rounding of the scan and the lift
-_ROW_BLOCK = 64  # padded rows per dense block of a scanner build
+_ROW_BLOCK = 64  # padded rows per dense block of a scanner's rows
 # bytes of scanner arrays _scanner keeps: all of a game sweep's scanners,
-# but a full-axis scanner from n ~ 2500 on (9.8 MB at n = 3000) alone
+# but a full-axis scanner from n ~ 2350 on (11 MiB at n = 3000) alone
 _SCANNER_CACHE_BYTES = 8 * 2**20
 
 
@@ -185,6 +185,25 @@ def _clearance(step: float) -> float:
     return _DIP_GUARD * _conditional_dip_sd(step)
 
 
+def _dense_blocks(win: np.ndarray, off: np.ndarray) -> tuple:
+    """Rows given as windows, row j being win[j] on the kept columns
+    off[j] : off[j] + width, as dense blocks of _ROW_BLOCK rows, each over
+    the kept columns its windows span: a tuple of (rows, first column,
+    block)."""
+    width = win.shape[1]
+    blocks = []
+    for lo in range(0, len(win), _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        part, start = win[rows], off[rows]
+        first = int(start.min())
+        span = int(start.max()) - first + width
+        block = np.zeros((len(part), span))
+        start = np.arange(len(part)) * span + start - first
+        block.reshape(-1)[start[:, None] + np.arange(width)] = part
+        blocks.append((rows, first, block))
+    return tuple(blocks)
+
+
 def _weight_windows(n: int, xs: np.ndarray):
     """Each grid row's window, the columns lo_j..hi_j where the weight
     C(n, i) x_j^i is at least _PRUNE_REL of the row's peak, and logw with
@@ -229,10 +248,10 @@ class _SignScanner:
     padded rows of classify() (limit rows first and last, each in units of
     its threshold tau, so -1 and 1 are the reject and ambiguity thresholds)
     form the matrix W~ over the kept columns.  Each row weighs on a window
-    of about 6 sqrt(n) consecutive columns, so W~ is kept as windows: row j
-    is _win[j] on the kept columns columns[_off[j] : _off[j] + width], zero
-    elsewhere (a limit row's window has one nonzero entry), and no
-    rows x (n + 1) array is formed.  latent_factor factors W~ in normalized
+    of about 6 sqrt(n) consecutive columns (a limit row's window has one
+    nonzero entry), so W~ is kept as _row_blocks, dense blocks of
+    _ROW_BLOCK rows over the kept columns their windows span, built once;
+    no rows x (n + 1) array is formed.  latent_factor factors W~ in normalized
     (u) units, where every row has unit norm, from its Gram matrix:
     W~ = G V + E with orthonormal rows V and E V^T = 0 up to rounding.  A
     lifted vector a (see lift) has a[columns] = z_c +
@@ -366,44 +385,29 @@ class _SignScanner:
             windows.append(limit[:, ::-1])
             offsets.append([last])
             scale.append([_NOISE_REL])
-        self._win = np.vstack(windows)
-        self._off = np.concatenate(offsets)
         self.u_scale = np.concatenate(scale)
+        self._row_blocks = _dense_blocks(np.vstack(windows), np.concatenate(offsets))
         self._factor()
         self.sieve = Sieve(self._g, self.t_pad, 1.0 + self.margin)
         # _scanner shares one scanner among all later calls: freeze it
-        for value in vars(self).values():
+        arrays = [block for _, _, block in self._row_blocks]
+        for value in arrays + list(vars(self).values()):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-
-    def _row_blocks(self, scale: np.ndarray | None = None):
-        """The padded rows (tau units, times scale if given), _ROW_BLOCK
-        rows at a time, each block dense over the kept columns its windows
-        span: yields (rows, first column, block)."""
-        width = self._win.shape[1]
-        for lo in range(0, len(self._win), _ROW_BLOCK):
-            rows = slice(lo, lo + _ROW_BLOCK)
-            off = self._off[rows]
-            first = int(off.min())
-            span = int(off.max()) - first + width
-            block = np.zeros((len(off), span))
-            start = np.arange(len(off)) * span + off - first
-            win = self._win[rows]
-            block.reshape(-1)[start[:, None] + np.arange(width)] = (
-                win if scale is None else win * scale[rows, None]
-            )
-            yield rows, first, block
 
     def _factor(self) -> None:
         """Rank-r factor of the padded rows (see the class docstring): sets
         rank, the factor _g (padded rows x r, tau units), the lift basis _v
         (r x columns) and margin (tau units).  The rows are factored in u
-        units, where each has unit norm, from dense blocks of a few rows
-        (_row_blocks): the Gram matrix from the pairs of blocks whose spans
-        overlap (the other row pairs share no column), and the products
-        with the rows block by block."""
-        size = len(self._win)
-        blocks = list(self._row_blocks(self.u_scale))
+        units, where each has unit norm, from copies of the dense row
+        blocks (_row_blocks) scaled by u_scale: the Gram matrix from the
+        pairs of blocks whose spans overlap (the other row pairs share no
+        column), and the products with the rows block by block."""
+        size = len(self.u_scale)
+        blocks = [
+            (rows, first, block * self.u_scale[rows, None])
+            for rows, first, block in self._row_blocks
+        ]
         gram = np.zeros((size, size))
         for k, (rows, first, block) in enumerate(blocks):
             for rows2, first2, block2 in blocks[k:]:
@@ -434,7 +438,7 @@ class _SignScanner:
         # the residual E = W~ - G V of a block of rows at a time
         norm = np.empty(size)
         leak = np.empty(size)
-        for rows, first, block in self._row_blocks():
+        for rows, first, block in self._row_blocks:
             residual = -(self._g[rows] @ self._v)
             residual[:, first : first + block.shape[1]] += block
             norm[rows] = np.linalg.norm(residual, axis=1)
@@ -448,12 +452,12 @@ class _SignScanner:
     def _padded(self, a: np.ndarray) -> np.ndarray:
         """The padded rows (tau units) times a batch of coefficient columns,
         one dense block of rows at a time (_row_blocks).  Most batches are
-        empty (no sample of a unit lifted), and those form no block."""
+        empty (no sample of a unit lifted), and those form no product."""
         if a.shape[1] == 0:
-            return np.zeros((len(self._win), 0))
+            return np.zeros((len(self.u_scale), 0))
         ac = a[self.columns]
         return np.vstack(
-            [b @ ac[lo : lo + b.shape[1]] for _, lo, b in self._row_blocks()]
+            [b @ ac[lo : lo + b.shape[1]] for _, lo, b in self._row_blocks]
         )
 
     def classify(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -606,7 +610,7 @@ def _scanner(n: int, interval: IntervalSpec, step: float) -> _SignScanner | None
     process for each (n, interval, step) while it stays in the cache.  The
     cache holds _SCANNER_CACHE_BYTES of scanner arrays, so games over several
     player counts keep all their scanners, while a large-n sweep holds one
-    scanner at a time (48 MB at n = 10^4 on the full axis, most of it the
+    scanner at a time (53 MiB at n = 10^4 on the full axis, most of it the
     lift basis V); the arrays are read-only."""
     return _SignScanner(n, interval, step) if n else None
 
@@ -631,7 +635,7 @@ def _persistence_block(
     successes = int(np.count_nonzero(verdicts == _SignScanner.ACCEPT))
     lifted = np.flatnonzero(verdicts == _SignScanner.ESCALATE)
     z = _columns(rngs, scanner.n + 1, np.searchsorted(lifted, cut))
-    a = scanner.lift(xi[:, lifted], z)
+    a = scanner.lift(xi.take(lifted, axis=1), z)
     persistent, unresolved, exact = _decide(scanner, a, *scanner.classify(a))
     successes += int(np.count_nonzero(persistent))
     return successes, len(lifted), unresolved, exact

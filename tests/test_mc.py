@@ -345,10 +345,12 @@ def test_unresolved_samples_are_counted(monkeypatch):
 
 def _dense_rows(scanner):
     """The scanner's padded rows (tau units) over its kept columns: its
-    stored windows scattered into a dense array."""
-    rows = np.zeros((len(scanner._win), len(scanner.columns)))
-    index = scanner._off[:, None] + np.arange(scanner._win.shape[1])
-    np.put_along_axis(rows, index, scanner._win, axis=1)
+    stored row blocks placed into one dense array."""
+    rows = np.zeros((len(scanner.u_scale), len(scanner.columns)))
+    for k, (block_rows, first, block) in enumerate(scanner._row_blocks):
+        # consecutive blocks of _ROW_BLOCK rows, in row order
+        assert block_rows == slice(k * mc._ROW_BLOCK, (k + 1) * mc._ROW_BLOCK)
+        rows[block_rows, first : first + block.shape[1]] = block
     return rows
 
 
@@ -850,6 +852,22 @@ def test_fixed_seed_outputs_are_pinned(workers):
     }
 
 
+def test_benchmark_game_calls_are_pinned():
+    # (successes, escalated, exact) of the game benchmark's own call,
+    # prob_no_internal_equilibria(p, 10^4, seed=(1, i, p)), from the release
+    # before the certificate and the lift gathered contiguous column blocks
+    pinned = {
+        2: [(4978, 4978, 0), (5064, 5064, 0), (4990, 4990, 0)],
+        3: [(3700, 3702, 0), (3729, 3736, 0), (3699, 3701, 0)],
+        4: [(2761, 2768, 0), (2806, 2811, 0), (2814, 2823, 0)],
+        5: [(2240, 2249, 0), (2220, 2225, 0), (2267, 2272, 0)],
+    }
+    for players, counts in pinned.items():
+        for i, expected in enumerate(counts):
+            est = prob_no_internal_equilibria(players, 10_000, seed=(1, i, players))
+            assert (est.successes, est.escalated, est.exact) == expected, (players, i)
+
+
 def test_restricted_exact_decisions_are_pinned():
     # counts from the release that decided restricted-interval samples with
     # a Sturm chain count and a probe (seed 7 lifts a sample whose chain
@@ -911,14 +929,43 @@ def test_full_axis_decide_sends_undecided_columns_to_exact_check():
     assert (unresolved, exact) == (0, 2)
 
 
+@pytest.mark.parametrize(
+    "n, kind",
+    [
+        (1, "full"),
+        (2, "full"),
+        (3, "full"),
+        (4, "full"),
+        (10, "full"),
+        (50, "full"),
+        (144, "full"),
+        (100, "low"),
+    ],
+)
+def test_lift_does_not_depend_on_the_gather(n, kind):
+    # games and plain Monte Carlo lift xi.take(lifted, axis=1), a C-ordered
+    # block, where xi[:, lifted] comes back in Fortran order: every entry
+    # of the lift must be the same float either way
+    scanner = mc._scanner(n, IntervalSpec(kind), 0.25)
+    rng = np.random.default_rng(n)
+    xi = rng.standard_normal((scanner.rank, 5000))
+    lifted = np.flatnonzero(rng.random(5000) < 0.4)
+    z = rng.standard_normal((n + 1, len(lifted)))
+    fancy = scanner.lift(xi[:, lifted], z)
+    taken = scanner.lift(xi.take(lifted, axis=1), z)
+    assert list(map(float.hex, fancy.ravel())) == list(map(float.hex, taken.ravel()))
+
+
 def test_cached_scanner_is_read_only():
     scanner = mc._scanner(36, LOW_INTERVAL, 0.25)
     assert mc._scanner(36, LOW_INTERVAL, 0.25) is scanner
     with pytest.raises(ValueError):
-        scanner._win[0, 0] = 0.0
-    names = ("ts", "xs", "t_pad", "columns", "_off", "u_scale", "_g", "_v", "margin")
+        scanner._row_blocks[0][2][0, 0] = 0.0
+    names = ("ts", "xs", "t_pad", "columns", "u_scale", "_g", "_v", "margin")
     for name in names:
         assert not getattr(scanner, name).flags.writeable, name
+    for _, _, block in scanner._row_blocks:
+        assert not block.flags.writeable
     for name in ("rows", "l", "q", "rho", "thr"):
         assert not getattr(scanner.sieve, name).flags.writeable, name
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persistlab import roots
+from persistlab import mc, roots
 from persistlab.games import GamePayoffs, equilibrium_polynomial
 from persistlab.mc import IntervalSpec
 from persistlab.polys import BinomialPolynomial, sample_polynomial
@@ -497,3 +497,40 @@ def test_certificate_rejects_malformed_blocks():
     with pytest.raises(ValueError, match="block"):
         bernstein_verdicts(np.ones(3))
     assert bernstein_verdicts(np.ones((4, 0))).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 144])
+def test_certificate_does_not_depend_on_the_layout(n):
+    # bernstein_verdicts gathers the live columns into one C-ordered block;
+    # the verdicts must be those of the same columns in any layout
+    rng = np.random.default_rng(n)
+    if n == 144:
+        # lifted full-axis samples, some offset so they bisect deep
+        scanner = mc._scanner(n, IntervalSpec("full"), 0.25)
+        xi = rng.standard_normal((scanner.rank, 600))
+        a = scanner.lift(xi, rng.standard_normal((n + 1, 600)))
+        a[:, ::3] += 1.5
+    else:
+        a = rng.standard_normal((n + 1, 3000)) + rng.choice([0.0, 1.0, 2.0], 3000)
+    a[0, ::50] = 0.0  # left to the exact path
+    # the same columns C-ordered, Fortran-ordered, gathered by fancy
+    # indexing (which numpy returns in Fortran order) and as a strided view
+    idx = rng.permutation(a.shape[1])
+    wide = np.empty((len(a), a.shape[1] + 7))
+    wide[:, 7 + idx] = a
+    strided = np.empty((len(a), 2 * a.shape[1]))
+    strided[:, ::2] = a
+    views = {
+        "C": np.ascontiguousarray(a),
+        "F": np.asfortranarray(a),
+        "fancy": wide[:, 7 + idx],
+        "strided": strided[:, ::2],
+    }
+    assert not views["fancy"].flags.c_contiguous
+    assert not views["strided"].flags.c_contiguous
+    assert all(np.array_equal(view, a) for view in views.values())
+    expected = bernstein_verdicts(views["C"])
+    assert set(expected.tolist()) == {-1, 0, 1}
+    for name, view in views.items():
+        got = bernstein_verdicts(view)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected), name
