@@ -5,7 +5,8 @@ An internal rest point of the replicator dynamics at population fraction
 y in (0, 1) satisfies equal average payoffs; under x = y / (1 - y) that is a
 positive root of sum_k (a_k - b_k) C(n-1, k) x^k, whose Bernstein
 coefficients in y are the payoff differences themselves.  Equilibria are
-located by the exact counter from `roots`, with no floating error.
+isolated exactly by the Descartes bisection of `roots` and bisected to a
+stated tolerance.
 
 With i.i.d. standard normal payoff differences that polynomial is the
 persistence family of `mc` at degree players - 1, so the no-equilibrium
@@ -142,10 +143,13 @@ class EquilibriumSet:
 def internal_equilibria(game: GamePayoffs, tol: float = 1e-12) -> EquilibriumSet:
     """Locate the internal equilibria through the positive-root correspondence.
 
-    Roots of the associated polynomial are isolated exactly, bisected to tol
-    in the x coordinate, and mapped back by y = x / (1 + x); the count always
-    matches the exact variation count.
+    Roots of the associated polynomial are isolated exactly by Descartes
+    bisection, bisected to tol in the x coordinate, and mapped back by
+    y = x / (1 + x).  The count is exact; the Sturm-chain count
+    roots.count_positive_roots is an independent check on it.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     q = equilibrium_polynomial(game)
     if q.is_zero():
         return EquilibriumSet((), 0, degenerate=True)
@@ -203,10 +207,10 @@ def prob_no_internal_equilibria(
     the scanner's latent space when its polynomial certifiably takes both
     signs (wrong with probability below e^-50 per game); every other game
     is lifted to exactly standard normal differences and decided exactly,
-    by the float certificate or, where it stays undecided, the Fraction
-    path.  The estimate's `escalated` counts the lifted games and `exact`
-    the ones the Fraction path decided.  Bit-identical given the seed, for
-    any worker count.
+    by the float certificate or, where it stays undecided, the integer
+    Descartes bisection of roots.no_positive_roots.  The estimate's
+    `escalated` counts the lifted games and `exact` the ones the Descartes
+    bisection decided.  Bit-identical given the seed, for any worker count.
     """
     if players < 2:
         raise ValueError("need at least 2 players")

@@ -2,10 +2,11 @@
 
 IEEE doubles are dyadic rationals, so a sampled polynomial scaled by a common
 power of two has integer coefficients, and every sign decision below is exact
-integer arithmetic.  Two engines share that representation: Descartes
-bisection (integer Taylor shifts) answers existence questions fast on any
-interval, and a generalized Sturm chain with subresultant magnitudes
-provides counts, isolation, refinement and the depth-cap fallback.
+integer arithmetic.  Two independent engines share that representation:
+Descartes bisection (integer Taylor shifts) isolates roots, its first
+isolating interval deciding existence on any interval and all of them,
+bisected further, locating the roots; a generalized Sturm chain with
+subresultant magnitudes counts roots and is the depth-cap fallback.
 
 In front of them, bernstein_verdicts settles whole blocks of binomial-weighted
 float columns at once with a rigorous floating-point certificate (midpoint
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -355,33 +356,45 @@ def _taylor_shift1(c: list[int]) -> list[int]:
     return c
 
 
-def _has_root_open01(c: Sequence[int], max_depth: int = 200) -> bool | None:
-    """Root of the integer polynomial in the open interval (0, 1)?
+_MAX_DEPTH = 200  # Descartes bisection levels before an exact decision gives up
 
-    Descartes bisection: the variation count of (1+y)^d q(1/(1+y)) bounds the
-    root count on (0, 1) from above and matches its parity, so 0 variations
-    certifies emptiness and 1 certifies a root.  Callers guarantee q(0) != 0.
-    Returns None when the depth cap is hit (clustered or repeated roots);
-    the caller falls back to exact chain counting.
+
+def _isolate_open01(
+    c: Sequence[int], max_depth: int | None = _MAX_DEPTH
+) -> Iterator[tuple[int, int, int, int] | None]:
+    """Isolate the roots of the integer polynomial c in the open interval
+    (0, 1) by Descartes bisection (Collins & Akritas 1976), in no order.
+
+    The cell (j, j + 1) / 2^k carries q(y) = 2^(d k) c((j + y) / 2^k); the
+    variation count of (1 + y)^d q(1 / (1 + y)) bounds its root count from
+    above and matches its parity, so 0 variations certify an empty cell and
+    1 a single simple root, yielded as (j, j + 1, k, s): s is the sign of c
+    just right of j / 2^k, the lowest nonzero coefficient of q, since either
+    end may be a root.  A split point m / 2^k that is a root is yielded as
+    (m, m, k, 0) and divided out of the right half.  Bisection never ends at
+    a repeated root: a cell undecided at max_depth yields None and ends it
+    (max_depth None: no cap, safe when c is squarefree).
     """
-    work: list[tuple[list[int], int]] = [(list(c), 0)]
+    work: list[tuple[list[int], int, int]] = [(list(c), 0, 0)]
     while work:
-        q, depth = work.pop()
+        q, depth, j = work.pop()
         v = _variations(map(_sign, _taylor_shift1(q[::-1])))
         if v == 0:
             continue
         if v == 1:
-            return True
-        if depth >= max_depth:
-            return None
+            yield j, j + 1, depth, _sign_at_zero_plus(q)
+            continue
+        if max_depth is not None and depth >= max_depth:
+            yield None
+            return
         d = len(q) - 1
         half = [ci << (d - i) for i, ci in enumerate(q)]  # q(y/2) * 2^d
         right = _taylor_shift1(list(half))  # q((y+1)/2) * 2^d
         if right[0] == 0:
-            return True  # the split point itself is a root
-        work.append((half, depth + 1))
-        work.append((right, depth + 1))
-    return False
+            yield 2 * j + 1, 2 * j + 1, depth + 1, 0  # the split point is a root
+            right.pop(0)
+        work.append((half, depth + 1, 2 * j))
+        work.append((right, depth + 1, 2 * j + 1))
 
 
 def _no_positive_roots_ints(c: list[int]) -> bool | None:
@@ -394,11 +407,12 @@ def _no_positive_roots_ints(c: list[int]) -> bool | None:
         return True  # Descartes on all of (0, inf)
     if sum(c) == 0:
         return False  # exact root at x = 1
-    inside = _has_root_open01(c)
-    if inside is True:
+    # the first cell decides: a root, or None at the depth cap
+    inside = next(_isolate_open01(c), False)
+    if inside:
         return False
-    beyond = _has_root_open01(c[::-1])  # x -> 1/x maps (1, inf) onto (0, 1)
-    if beyond is True:
+    beyond = next(_isolate_open01(c[::-1]), False)  # x -> 1/x: (1, inf) to (0, 1)
+    if beyond:
         return False
     if inside is None or beyond is None:
         return None
@@ -560,81 +574,44 @@ def bernstein_verdicts(a: np.ndarray) -> np.ndarray:
     return verdict
 
 
-# --- isolation and refinement ---
+# --- location: Descartes isolation and refinement ---
 
 
-def _cauchy_bound(c: Sequence[int]) -> Fraction:
+def _cauchy_bound(c: Sequence[int]) -> int:
     """Power-of-two upper bound, via Cauchy's bound, on all positive roots."""
     lead = abs(c[-1])
     rest = max((abs(v) for v in c[:-1]), default=0)
     b = 1 + (rest + lead - 1) // lead
-    return Fraction(1 << int(b).bit_length())
+    return 1 << b.bit_length()
 
 
-def _nonroot_split(sf: Sequence[int], lo: Fraction, hi: Fraction) -> Fraction:
-    """A split point inside (lo, hi) where the squarefree polynomial is nonzero."""
-    mid = (lo + hi) / 2
-    delta = (hi - lo) / 2048
-    point = mid
-    step = 0
-    while _sign_at(sf, point.numerator, point.denominator) == 0:
-        step += 1
-        point = mid + step * delta
-        if point >= hi:
-            raise ArithmeticError("could not find a non-root split point")
-    return point
-
-
-def _isolate_on_chain(chain: SturmChain) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals for the distinct positive roots of the squarefree
-    polynomial heading the chain."""
-    sf_ints = chain.elements[0]
-    total = _variations_at_zero_plus(chain) - _variations_at_infinity(chain)
-    if total == 0:
-        return []
-    bound = _cauchy_bound(sf_ints)
-    out: list[tuple[Fraction, Fraction]] = []
-    # stack entries: (lo, hi, variations at lo (None => use 0+), variations at hi)
-    stack: list[tuple[Fraction, Fraction, int | None, int]] = [
-        (Fraction(0), bound, None, _variations_at(chain, bound))
-    ]
-    while stack:
-        lo, hi, v_lo, v_hi = stack.pop()
-        v_left = _variations_at_zero_plus(chain) if v_lo is None else v_lo
-        roots_here = v_left - v_hi
-        if roots_here == 0:
-            continue
-        if roots_here == 1:
-            out.append((lo, hi))
-            continue
-        mid = _nonroot_split(sf_ints, lo, hi)
-        v_mid = _variations_at(chain, mid)
-        stack.append((mid, hi, v_mid, v_hi))
-        stack.append((lo, mid, v_lo, v_mid))
-    out.sort(key=lambda iv: iv[0])
-    return out
+def _isolating_intervals(
+    c: Sequence[int], max_depth: int | None
+) -> list[tuple[Fraction, Fraction, int]] | None:
+    """Sorted isolating intervals (lo, hi, s) of the positive roots of c:
+    a root in the open (lo, hi), s the sign just right of lo, or the root
+    lo = hi, s = 0; None at max_depth.  Descartes bisection runs on c(B y),
+    B the power-of-two Cauchy bound, so every end is dyadic."""
+    bound = _cauchy_bound(c)
+    cells = list(_isolate_open01([ci * bound**i for i, ci in enumerate(c)], max_depth))
+    if None in cells:
+        return None
+    return sorted(
+        (Fraction(lo * bound, 1 << k), Fraction(hi * bound, 1 << k), s)
+        for lo, hi, k, s in cells
+    )
 
 
 def _refine_on_ints(
-    ints: Sequence[int], lo: Fraction, hi: Fraction, tol: float
+    ints: Sequence[int], lo: Fraction, hi: Fraction, s_lo: int, tol: float
 ) -> float:
-    """Bisect the isolating interval (lo, hi] of a root of ints to width
-    tol on integer numerators over a denominator that doubles each step
-    (a power of two: isolation leaves dyadic ends); the floats returned
-    are correctly rounded quotients, as Fraction's are."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    """Bisect the isolating interval (lo, hi) of a simple root of ints to
+    width tol on integer numerators over a denominator that doubles each
+    step (isolation leaves dyadic ends).  s_lo is the sign just right of lo;
+    the ends, either of which may be a root, are never evaluated.  The
+    floats returned are correctly rounded quotients, as Fraction's are."""
     den = math.lcm(lo.denominator, hi.denominator)
     lo_num, hi_num = int(lo * den), int(hi * den)
-    s_hi = _sign_at(ints, hi_num, den)
-    if s_hi == 0:
-        return hi_num / den
-    s_lo = _sign_at(ints, lo_num, den)
-    if s_lo == 0:
-        # the interval is open at lo; the root inside must be elsewhere
-        raise ValueError("lower endpoint is a root; not an isolating interval")
-    if s_lo == s_hi:
-        raise ValueError("no sign change across the interval")
     while (hi_num - lo_num) / den > tol:
         mid = lo_num + hi_num
         den *= 2
@@ -649,14 +626,21 @@ def _refine_on_ints(
 
 
 def locate_positive_roots(p: DyadicPolynomial, tol: float = 1e-12) -> list[float]:
-    """All distinct positive roots, isolated exactly and bisected to tol,
-    sharing one chain across isolation and refinement."""
+    """All distinct positive roots, sorted, isolated exactly by Descartes
+    bisection and bisected to width tol; a root at a split point comes out
+    exactly.  At a repeated root bisection hits its depth cap, and the
+    squarefree part from the Sturm chain is isolated with no cap; the chain
+    count (count_positive_roots) is an independent check on the result."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     if p.is_zero():
         raise ValueError("the zero polynomial has no located roots")
-    chain = _squarefree_chain(p)
-    ints = chain.elements[0]
-    if len(ints) <= 1:
-        return []
+    ints = p.scaled_integers()
+    intervals = _isolating_intervals(ints, _MAX_DEPTH)
+    if intervals is None:
+        ints = _squarefree_chain(p).elements[0]
+        intervals = _isolating_intervals(ints, None)
     return [
-        _refine_on_ints(ints, lo, hi, tol) for lo, hi in _isolate_on_chain(chain)
+        float(lo) if lo == hi else _refine_on_ints(ints, lo, hi, s, tol)
+        for lo, hi, s in intervals
     ]

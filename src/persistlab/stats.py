@@ -71,7 +71,7 @@ class PersistenceEstimate(_Interval):
     were lifted to coefficient vectors and decided there.  `exact` counts
     the lifted samples and games that the batched float checks (full axis:
     roots.bernstein_verdicts; restricted: mc._refine) left undecided, which
-    the exact Fraction path then decided.
+    the exact integer Descartes bisection then decided.
     """
 
     successes: int

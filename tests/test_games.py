@@ -144,6 +144,44 @@ def test_degenerate_zero_differences():
     assert eq == EquilibriumSet((), 0, degenerate=True)
 
 
+# internal_equilibria of seeded games, three at each of 3, 5, 7 and 9
+# players, as float.hex: a change to isolation or refinement that moves a
+# located float fails here, not only in criterion 10's count
+PINNED_EQUILIBRIA = [
+    ["0x1.0e28f7a144680p-2"],
+    [],
+    [],
+    ["0x1.f2a8f17a16455p-2", "0x1.f5fc40f532effp-1"],
+    ["0x1.6d4fcb1287ca2p-2", "0x1.c64ba3b8a288ap-1"],
+    ["0x1.ada1d5c8d65b9p-1", "0x1.ff752a7ae3d14p-1"],
+    ["0x1.979dc61ae8e31p-2", "0x1.9c87b671bac14p-1"],
+    ["0x1.69af975e7803fp-1"],
+    ["0x1.980a7c488fe18p-1"],
+    ["0x1.7300388256674p-6", "0x1.da40230bd4f15p-1", "0x1.f329184cb7d5ep-1"],
+    ["0x1.12b5c5b4b9694p-3", "0x1.9cea66766dc20p-2", "0x1.ef51029a2f116p-1"],
+    ["0x1.575e9e7cf071cp-4"],
+]
+
+
+def test_equilibria_of_seeded_games_are_pinned():
+    rng = np.random.default_rng(2718)
+    got = []
+    for players in (3, 5, 7, 9):
+        for _ in range(3):
+            game = GamePayoffs.from_differences(rng.standard_normal(players))
+            got.append([y.hex() for y in internal_equilibria(game).internal])
+    assert got == PINNED_EQUILIBRIA
+
+
+def test_equilibria_reject_nonpositive_tol():
+    # checked on entry: a game with an equilibrium, one without, and the
+    # degenerate one alike
+    for beta in ([-1.0, 1.0], [1.0, 1.0], [0.0, 0.0]):
+        for tol in (0.0, -1e-12, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                internal_equilibria(GamePayoffs.from_differences(beta), tol=tol)
+
+
 def test_prob_two_player_half():
     # no internal equilibrium iff both payoff differences share a sign
     est = prob_no_internal_equilibria(2, 40_000, seed=4)

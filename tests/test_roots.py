@@ -305,6 +305,10 @@ def test_interval_decision_rejects_bad_endpoints():
 
 def test_locate_positive_roots():
     assert locate_positive_roots(dyadic(1.0, 1.0)) == []
+    assert locate_positive_roots(dyadic(3.0)) == []
+    # roots at 0 are not positive
+    assert locate_positive_roots(dyadic(0.0, 1.0)) == []
+    assert locate_positive_roots(dyadic(0.0, 0.0, -0.5, 1.0)) == [0.5]
     got = locate_positive_roots(dyadic(-6.0, 11.0, -6.0, 1.0))
     assert got == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
 
@@ -313,16 +317,17 @@ def test_refine_hits_exact_dyadic_root():
     assert locate_positive_roots(dyadic(-0.5, 1.0)) == [0.5]  # root exactly 1/2
 
 
-def refine_in_fractions(ints, lo, hi, tol):
-    """Bisection of an isolating interval in Fractions: the reference for
-    roots._refine_on_ints, which bisects integer numerators."""
-    s_hi = roots._sign_at(ints, hi.numerator, hi.denominator)
-    if s_hi == 0:
-        return float(hi)
-    s_lo = roots._sign_at(ints, lo.numerator, lo.denominator)
+def sign_at(ints, x):
+    return roots._sign_at(ints, x.numerator, x.denominator)
+
+
+def refine_in_fractions(ints, lo, hi, s_lo, tol):
+    """Bisection of an open isolating interval (lo, hi) in Fractions, s_lo
+    the sign just right of lo: the reference for roots._refine_on_ints,
+    which bisects integer numerators."""
     while float(hi - lo) > tol:
         mid = (lo + hi) / 2
-        s_mid = roots._sign_at(ints, mid.numerator, mid.denominator)
+        s_mid = sign_at(ints, mid)
         if s_mid == 0:
             return float(mid)
         if s_mid == s_lo:
@@ -334,24 +339,80 @@ def refine_in_fractions(ints, lo, hi, tol):
 
 def test_refinement_matches_fraction_bisection_on_games():
     # the roots of 2000 random games at 2 to 9 players, as criterion 10
-    # locates them, plus exact dyadic roots at a midpoint and at hi
+    # locates them, plus exact dyadic roots at a midpoint and at split points
     rng = np.random.default_rng(1010)
-    cases = [dyadic(-0.5, 1.0), dyadic(-1.0, 1.0), dyadic(-3.0, 7.0, -5.0, 1.0)]
+    cases = [
+        dyadic(-0.5, 1.0),
+        dyadic(-1.0, 1.0),
+        dyadic(-3.0, 7.0, -5.0, 1.0),
+        dyadic(-2.5, 5.75, -4.25, 1.0),
+    ]
     for k in range(2000):
         game = GamePayoffs.from_differences(rng.standard_normal(2 + k % 8))
         cases.append(equilibrium_polynomial(game))
     refined = 0
     for p in cases:
-        chain = roots._squarefree_chain(p)
-        ints = chain.elements[0]
-        if len(ints) <= 1:
-            continue
-        for lo, hi in roots._isolate_on_chain(chain):
+        ints = list(p.scaled_integers())
+        intervals = roots._isolating_intervals(ints, roots._MAX_DEPTH)
+        assert len(intervals) == count_positive_roots(p).count
+        for lo, hi, s in intervals:
+            if lo == hi:
+                assert s == 0 and sign_at(ints, lo) == 0
+                continue
+            # s is the sign on (lo, root); lo is a root only if it was found
+            assert s != 0 and sign_at(ints, lo) in (0, s)
+            assert sign_at(ints, hi) in (0, -s)
             for tol in (1e-12, 1e-3):
-                got = roots._refine_on_ints(ints, lo, hi, tol)
-                assert got == refine_in_fractions(ints, lo, hi, tol), (ints, lo, hi)
+                got = roots._refine_on_ints(ints, lo, hi, s, tol)
+                want = refine_in_fractions(ints, lo, hi, s, tol)
+                assert got == want, (ints, lo, hi)
                 refined += 1
     assert refined > 2000
+
+
+def test_isolating_interval_between_two_split_point_roots():
+    # (x - 1)(x - 5/4)(x - 2) has Cauchy bound B = 8: the bisection of
+    # (0, B) finds 2 = B/4 and 1 = B/8 exactly at split points, and the cell
+    # (B/8, B/4) isolates 5/4 with a root at both ends
+    p = dyadic(-2.5, 5.75, -4.25, 1.0)
+    ints = list(p.scaled_integers())
+    assert roots._cauchy_bound(ints) == 8
+    one, two = Fraction(1), Fraction(2)
+    assert roots._isolating_intervals(ints, roots._MAX_DEPTH) == [
+        (one, one, 0),
+        (one, two, 1),
+        (two, two, 0),
+    ]
+    got = locate_positive_roots(p)
+    assert got == [1.0, 1.25, 2.0]
+    assert len(got) == count_positive_roots(p).count
+    # the Sturm-chain isolator moved split points off roots, and so returned
+    # these, each within tol of the exact root
+    earlier = ["0x1.ffffffffff004p-1", "0x1.4000000000406p+0", "0x1.ffffffffff806p+0"]
+    assert got == pytest.approx([float.fromhex(h) for h in earlier], abs=1e-12)
+
+
+def roots_product(*factors):
+    """DyadicPolynomial of the product of (x - r) over the dyadic roots r."""
+    c = [Fraction(1)]
+    for r in factors:
+        c = [a - r * b for a, b in zip([Fraction(0)] + c, c + [Fraction(0)])]
+    return DyadicPolynomial(tuple(c))
+
+
+def test_roots_closer_than_the_depth_cap():
+    # two simple roots 2^-250 apart near 1/3, whose binary expansion keeps
+    # them in one cell past the depth cap of 200 levels, and a root at 3:
+    # the capped bisection gives up, and the squarefree part (here the
+    # polynomial itself) is isolated with no cap
+    c = Fraction(round(Fraction(2**300, 3)), 2**300)
+    p = roots_product(c, c + Fraction(1, 2**250), Fraction(3))
+    ints = list(p.scaled_integers())
+    assert roots._isolating_intervals(ints, roots._MAX_DEPTH) is None
+    assert len(roots._isolating_intervals(ints, None)) == 3
+    got = locate_positive_roots(p)
+    assert got == [1 / 3, 1 / 3, 3.0]  # as the Sturm-chain isolator gave
+    assert len(got) == count_positive_roots(p).count
 
 
 def test_isolation_with_repeated_roots():
@@ -359,6 +420,56 @@ def test_isolation_with_repeated_roots():
     p = dyadic(-3.0, 7.0, -5.0, 1.0)
     roots = locate_positive_roots(p)
     assert roots == pytest.approx([1.0, 3.0], abs=1e-12)
+
+
+def test_isolation_with_a_repeated_root_off_the_split_points():
+    # (3x - 1)^2 (x - 2): Descartes bisection never isolates the double root
+    # at 1/3, so the squarefree part (3x - 1)(x - 2) is isolated instead
+    p = dyadic(-2.0, 13.0, -24.0, 9.0)
+    ints = list(p.scaled_integers())
+    assert roots._isolating_intervals(ints, roots._MAX_DEPTH) is None
+    got = locate_positive_roots(p)
+    assert got == [float.fromhex("0x1.5555555556000p-2"), 2.0]
+    assert len(got) == count_positive_roots(p).count
+    # the Sturm-chain isolator returned these, each within tol of the root
+    earlier = ["0x1.5555555556008p-2", "0x1.ffffffffff806p+0"]
+    assert got == pytest.approx([float.fromhex(h) for h in earlier], abs=1e-12)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    numerators=st.lists(st.integers(1, 64), min_size=1, max_size=4, unique=True),
+    exponent=st.integers(0, 6),
+    multiplicities=st.lists(st.integers(1, 3), min_size=4, max_size=4),
+    gap=st.integers(20, 300),
+    other=st.sampled_from([(), (-3,), (-1, -2)]),
+)
+def test_location_of_dyadic_and_near_double_roots(
+    numerators, exponent, multiplicities, gap, other
+):
+    # dyadic roots, some repeated, are split points of the bisection or of
+    # its refinement and come out exactly; a simple root 3 2^-gap above the
+    # least one, in a cell whose left end may be that repeated root, comes
+    # out within tol
+    exact = sorted(Fraction(k, 2**exponent) for k in numerators)
+    near = exact[0] + Fraction(3, 2**gap)
+    factors = [near] + [Fraction(r) for r in other]
+    for r, m in zip(exact, multiplicities):
+        factors += [r] * m
+    p = roots_product(*factors)
+    got = locate_positive_roots(p)
+    assert len(got) == len(exact) + 1 == count_positive_roots(p).count
+    assert got[0] == float(exact[0])
+    assert got[1] == pytest.approx(float(near), abs=1e-12)
+    assert got[2:] == [float(r) for r in exact[1:]]
+
+
+def test_locate_rejects_nonpositive_tol():
+    # checked on entry, also for a polynomial with no positive root
+    for p in (dyadic(1.0, 1.0), dyadic(-1.0, 1.0)):
+        for tol in (0.0, -1e-12, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                locate_positive_roots(p, tol)
 
 
 def test_degree_partition_on_known_factorizations():
