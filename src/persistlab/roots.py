@@ -6,7 +6,7 @@ integer arithmetic.  Two independent engines share that representation:
 Descartes bisection (integer Taylor shifts) isolates roots, its first
 isolating interval deciding existence on any interval and all of them,
 bisected further, locating the roots; a generalized Sturm chain with
-subresultant magnitudes counts roots and is the depth-cap fallback.
+subresultant magnitudes counts roots and gives the depth cap's squarefree part.
 
 In front of them, bernstein_verdicts settles whole blocks of binomial-weighted
 float columns at once with a rigorous floating-point certificate (midpoint
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -237,26 +237,20 @@ def build_chain(p: DyadicPolynomial) -> SturmChain:
     (p, p') when p has repeated roots."""
     if p.is_zero():
         raise ValueError("the zero polynomial has no chain")
-    c0 = _primitive(list(p.scaled_integers()))
-    chain = _signed_remainder_chain(c0)
+    chain = _signed_remainder_chain(_primitive(list(p.scaled_integers())))
     return SturmChain(tuple(tuple(c) for c in chain))
 
 
-def _squarefree_chain(p: DyadicPolynomial) -> SturmChain:
-    """Chain of the squarefree part p / gcd(p, p'), the gcd read off p's
-    chain; reuses p's own chain when p is already squarefree (the chain ends
+def _squarefree_chain(c: Sequence[int]) -> SturmChain:
+    """Chain of the squarefree part c / gcd(c, c'), the gcd read off c's
+    chain; reuses c's own chain when c is already squarefree (the chain ends
     at a constant, the common case), which halves the chain work."""
-    chain = build_chain(p)
-    last = chain.elements[-1]
-    if len(last) <= 1:
-        return chain
-    gcd = _primitive(list(last))
-    if gcd[-1] < 0:
-        gcd = [-v for v in gcd]
-    quotient = _exact_div(_primitive(list(p.scaled_integers())), gcd)
-    return SturmChain(
-        tuple(tuple(c) for c in _signed_remainder_chain(_primitive(quotient)))
-    )
+    c0 = _primitive(list(c))
+    chain = _signed_remainder_chain(c0)
+    if len(chain[-1]) > 1:  # gcd(c, c') up to a factor; the quotient's sign is moot
+        gcd = _primitive(list(chain[-1]))
+        chain = _signed_remainder_chain(_primitive(_exact_div(c0, gcd)))
+    return SturmChain(tuple(tuple(e) for e in chain))
 
 
 def _variations(signs: Iterable[int]) -> int:
@@ -324,7 +318,7 @@ def count_positive_roots(p: DyadicPolynomial) -> RootCountResult:
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no root count")
-    chain = _squarefree_chain(p)
+    chain = _squarefree_chain(p.scaled_integers())
     count = _variations_at_zero_plus(chain) - _variations_at_infinity(chain)
     positive_at_one = sum(p.scaled_integers()) > 0
     return RootCountResult(count, count == 0 and positive_at_one)
@@ -337,7 +331,7 @@ def count_roots_in(
     means +inf (the endpoint signs come from trailing/leading coefficients)."""
     if lo is not None and hi is not None and hi < lo:
         raise ValueError("interval endpoints out of order")
-    chain = _squarefree_chain(p)
+    chain = _squarefree_chain(p.scaled_integers())
     v_lo = (
         _variations_at_zero_plus(chain) if lo is None else _variations_at(chain, lo)
     )
@@ -360,7 +354,7 @@ _MAX_DEPTH = 200  # Descartes bisection levels before an exact decision gives up
 
 
 def _isolate_open01(
-    c: Sequence[int], max_depth: int | None = _MAX_DEPTH
+    c: Sequence[int], max_depth: int | None
 ) -> Iterator[tuple[int, int, int, int] | None]:
     """Isolate the roots of the integer polynomial c in the open interval
     (0, 1) by Descartes bisection (Collins & Akritas 1976), in no order.
@@ -397,80 +391,87 @@ def _isolate_open01(
         work.append((right, depth + 1, 2 * j + 1))
 
 
-def _no_positive_roots_ints(c: list[int]) -> bool | None:
-    _strip(c)
-    while c and c[0] == 0:
-        c.pop(0)  # roots at exactly 0 are not positive
-    if len(c) <= 1:
-        return True
-    if _variations(map(_sign, c)) == 0:
-        return True  # Descartes on all of (0, inf)
-    if sum(c) == 0:
-        return False  # exact root at x = 1
-    # the first cell decides: a root, or None at the depth cap
-    inside = next(_isolate_open01(c), False)
-    if inside:
-        return False
-    beyond = next(_isolate_open01(c[::-1]), False)  # x -> 1/x: (1, inf) to (0, 1)
-    if beyond:
-        return False
-    if inside is None or beyond is None:
-        return None
-    return True
-
-
-def no_positive_roots(p: DyadicPolynomial) -> bool:
-    """Exact decision of {p has no root in (0, inf)}.
-
-    Descartes bisection does the work at input-sized coefficients; the rare
-    undecided case (repeated or extremely clustered roots) falls back to the
-    chain count, so the answer is always exact.
-    """
-    if p.is_zero():
-        raise ValueError("the zero polynomial has no root decision")
-    got = _no_positive_roots_ints(list(p.scaled_integers()))
-    if got is None:
-        return count_positive_roots(p).count == 0
+def _root_inside(
+    g: Sequence[int], max_depth: int | None, unbounded: bool = True
+) -> bool | None:
+    """Whether the integer polynomial g has a root in (0, inf), or in (0, 1)
+    when not unbounded: the first isolating cell of (0, 1), and of (1, inf)
+    taken to (0, 1) by x -> 1/x, decides; None at max_depth."""
+    g = list(g)
+    while g[0] == 0:
+        g.pop(0)  # roots at exactly 0 are outside
+    if _variations(map(_sign, g)) == 0:
+        return False  # Descartes on all of (0, inf)
+    if unbounded and sum(g) == 0:
+        return True  # an exact root at 1
+    got = False
+    for q in (g, g[::-1]) if unbounded else (g,):
+        cell = next(_isolate_open01(q, max_depth), False)
+        if cell:
+            return True
+        if cell is None:
+            got = None
     return got
 
 
-def _interval_image(c: Sequence[int], lo: Fraction, hi: float) -> list[int]:
-    """den^d (1 + y)^d c(lo + (hi - lo) y / (1 + y)) in integers (den^d c(lo + y)
-    when hi is inf), den the larger denominator of lo and hi: its positive
-    roots are c's in (lo, hi), its leading coefficient has the sign of c(hi)."""
-    if not lo and hi == math.inf:
-        return list(c)  # the identity, the whole axis
-    right, e = (Fraction(1), 0) if hi == math.inf else (Fraction(hi), 1)
+def _descartes(decide: Callable, c: Sequence[int]) -> tuple[Sequence[int], Any]:
+    """The depth-cap policy of every exact decision: (c, decide(c, _MAX_DEPTH)),
+    or, at the cap (bisection never ends at a repeated root), (s, decide(s,
+    None)) for the squarefree part s of c itself, not of a larger image."""
+    got = decide(c, _MAX_DEPTH)
+    if got is None:
+        c = _squarefree_chain(c).elements[0]
+        got = decide(c, None)
+    return c, got
+
+
+def no_positive_roots(p: DyadicPolynomial) -> bool:
+    """Exact decision of {p has no root in (0, inf)} by Descartes bisection
+    at input-sized coefficients."""
+    if p.is_zero():
+        raise ValueError("the zero polynomial has no root decision")
+    return not _descartes(_root_inside, p.scaled_integers())[1]
+
+
+def _image(c: Sequence[int], lo: Fraction, hi: float) -> list[int]:
+    """den^d c(lo + (hi - lo) s), s in (0, 1), or den^d c(lo (1 + y)),
+    y in (0, inf), when hi is inf; den is the larger denominator of lo and hi,
+    both powers of two.  On the whole axis this is c itself."""
+    right = Fraction(1 if hi == math.inf else hi)
     den = max(lo.denominator, right.denominator)
-    a, b = int(lo * den), int(right * den)  # x = (a + b y) / (den (1 + e y))
-    acc, power = [c[-1]], [1]
-    for ci in reversed(c[:-1]):
-        acc = [a * u + b * v for u, v in zip(acc + [0], [0] + acc)]
-        power = [den * (u + e * v) for u, v in zip(power + [0], [0] + power)]
-        acc = [u + ci * v for u, v in zip(acc, power)]
-    return acc
+    a, b = int(lo * den), int(right * den)
+    shift, d = den.bit_length() - 1, len(c) - 1
+    g, power = [], 1
+    for i, ci in enumerate(c):  # den^d c(lo y), or den^d c(hi y) when lo = 0
+        g.append(ci * power << shift * (d - i))
+        power *= a or b
+    if not a:
+        return g
+    _taylor_shift1(g)  # den^d c(lo (1 + y))
+    if hi == math.inf:
+        return g
+    # y = (b - a) s / a; the shift left coefficient i a multiple of a^i
+    return [gi // a**i * (b - a) ** i for i, gi in enumerate(g)]
 
 
 def is_persistent(p: BinomialPolynomial, lo: float = 0.0, hi: float = math.inf) -> bool:
     """Exact decision of the event {f > 0 everywhere on (lo, hi]} ((lo, inf)
-    when hi is inf, by default the whole positive axis).  The binomial weights
-    and the map of y in (0, inf) onto (lo, hi), x = lo + (hi - lo) y / (1 + y),
-    are applied exactly; Descartes bisection decides the image, or the chain
-    count at its depth cap.  A zero in the interval (a tangency, a root at
+    when hi is inf, by default the whole positive axis): the sign at hi (of
+    the leading coefficient when hi is inf), then Descartes bisection on the
+    interval's exact image.  A zero in the interval (a tangency, a root at
     hi) makes the answer False; a root at lo is outside it."""
     if not 0.0 <= lo < hi:
         raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi})")
     dp = DyadicPolynomial.from_binomial(p)
     if dp.is_zero():
         return False
-    c = _interval_image(dp.scaled_integers(), Fraction(lo), hi)
-    if c[-1] <= 0:
+    c = dp.scaled_integers()
+    unbounded = hi == math.inf
+    if (c[-1] if unbounded else _sign_at(c, *Fraction(hi).as_integer_ratio())) <= 0:
         return False  # f(hi) <= 0, or f < 0 near inf
-    got = _no_positive_roots_ints(c)
-    if got is None:
-        right = None if hi == math.inf else Fraction(hi)
-        return count_roots_in(dp, Fraction(lo), right) == 0
-    return got
+    return not _descartes(
+        lambda q, depth: _root_inside(_image(q, Fraction(lo), hi), depth, unbounded), c
+    )[1]
 
 
 # --- batched float certificate in the Bernstein form ---
@@ -629,17 +630,13 @@ def locate_positive_roots(p: DyadicPolynomial, tol: float = 1e-12) -> list[float
     """All distinct positive roots, sorted, isolated exactly by Descartes
     bisection and bisected to width tol; a root at a split point comes out
     exactly.  At a repeated root bisection hits its depth cap, and the
-    squarefree part from the Sturm chain is isolated with no cap; the chain
-    count (count_positive_roots) is an independent check on the result."""
+    squarefree part is isolated instead (_descartes); the chain count
+    (count_positive_roots) is an independent check on the result."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     if p.is_zero():
         raise ValueError("the zero polynomial has no located roots")
-    ints = p.scaled_integers()
-    intervals = _isolating_intervals(ints, _MAX_DEPTH)
-    if intervals is None:
-        ints = _squarefree_chain(p).elements[0]
-        intervals = _isolating_intervals(ints, None)
+    ints, intervals = _descartes(_isolating_intervals, p.scaled_integers())
     return [
         float(lo) if lo == hi else _refine_on_ints(ints, lo, hi, s, tol)
         for lo, hi, s in intervals

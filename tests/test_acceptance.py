@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Criteria 6-8 are statistical batches (minutes-scale); they are marked `slow`
-but still run in a default `pytest` invocation.  Criterion 8's largest size
+Criteria 6-8 (statistical batches) and 11 take seconds each, criterion 10
+(80,000 games) about half a minute; they are marked `slow` but still run in
+a default `pytest` invocation.  Criterion 8's largest size
 is far beyond plain Monte Carlo at desk scale, so it runs on the splitting
 estimator, validated against plain Monte Carlo in tests/test_mc.py.
 """

@@ -868,14 +868,25 @@ def test_benchmark_game_calls_are_pinned():
             assert (est.successes, est.escalated, est.exact) == expected, (players, i)
 
 
-def test_restricted_exact_decisions_are_pinned():
-    # counts from the release that decided restricted-interval samples with
-    # a Sturm chain count and a probe (seed 7 lifts a sample whose chain
-    # takes seconds): is_persistent's verdicts must not change one of them
-    low = estimate_persistence(100, LOW_INTERVAL, 20_000, seed=7)
-    assert (low.successes, low.escalated, low.unresolved) == (359, 91, 0)
-    # the one lifted sample that batched refinement leaves undecided
-    assert low.exact == 1
+@pytest.mark.parametrize(
+    "n, interval, samples, seed, counts",
+    [
+        (100, LOW_INTERVAL, 20_000, 7, (359, 91, 1, 0)),
+        (64, HIGH_INTERVAL, 100_000, 5, (3478, 710, 1, 0)),
+        (128, MAIN_INTERVAL, 20_000, 5, (734, 158, 1, 0)),
+    ],
+    ids=["low", "high", "main"],
+)
+def test_restricted_exact_decisions_are_pinned(n, interval, samples, seed, counts):
+    # (successes, escalated, exact, unresolved): the low counts are from the
+    # release that decided restricted-interval samples with a Sturm chain
+    # count and a probe (seed 7 lifts a sample whose chain takes seconds),
+    # the high and main ones from the Moebius-image Descartes decision; each
+    # has one lifted sample that batched refinement leaves undecided, so
+    # is_persistent's verdicts on the finite and unbounded images must not
+    # change one of them
+    est = estimate_persistence(n, interval, samples, seed=seed)
+    assert (est.successes, est.escalated, est.exact, est.unresolved) == counts
 
 
 def _unsieved_successes(scanner, samples, seed):

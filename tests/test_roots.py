@@ -230,10 +230,11 @@ def sturm_positive(p, lo, hi):
 
 def interval_verdicts(p, lo, hi):
     """is_persistent(p, lo, hi) as it runs, and with Descartes bisection
-    giving up at once, as at its depth cap, so that the chain count decides."""
+    giving up at depth 0, so that every decision it cannot make at once is
+    made alone by the uncapped retry on the squarefree part."""
     free = is_persistent(p, lo, hi)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(roots, "_no_positive_roots_ints", lambda c: None)
+        mp.setattr(roots, "_MAX_DEPTH", 0)
         capped = is_persistent(p, lo, hi)
     return free, capped
 
@@ -291,6 +292,34 @@ def test_interval_decision_at_exact_endpoints(n):
             want = kind in ("low", "high")
             assert sturm_positive(p, lo, hi) == want, (a, kind)
             assert interval_verdicts(p, lo, hi) == (want, want), (a, kind)
+
+
+@pytest.mark.parametrize(
+    "n, short_roots",
+    [
+        (2, {"full": 3.0, "low": 0.25, "high": 2.0, "main": 1.0}),
+        (10_000, {"full": 3.0, "low": 0.125, "high": 8.0, "main": 1.0}),
+    ],
+    ids=["2", "10000"],
+)
+def test_double_root_inside_takes_the_squarefree_retry(n, short_roots):
+    # (x - r)^2 at degree 2, whose binomials 1, 2, 1 keep the coefficients
+    # exact, with r strictly inside the interval: r's image is not a split
+    # point, so capped bisection gives up, and the uncapped retry on the
+    # squarefree part x - r finds the touch
+    for kind, r in short_roots.items():
+        lo, hi = IntervalSpec(kind).x_range(n)
+        assert lo < r < hi
+        p = BinomialPolynomial(2, np.array([r * r, -r, 1.0]))
+        ints = DyadicPolynomial.from_binomial(p).scaled_integers()
+        image = roots._image(ints, Fraction(lo), hi)
+        assert roots._root_inside(image, roots._MAX_DEPTH, hi == math.inf) is None
+        assert sturm_positive(p, lo, hi) is False
+        assert is_persistent(p, lo, hi) is False
+        if kind == "full":
+            dp = DyadicPolynomial.from_binomial(p)
+            assert count_positive_roots(dp).count == 1
+            assert no_positive_roots(dp) is False
 
 
 def test_interval_decision_rejects_bad_endpoints():
