@@ -1,8 +1,8 @@
 """Batch command-line driver: every pipeline behind one reproducible surface.
 
 Each run writes a single self-describing table (CSV by default, JSON mirror
-on request) whose header embeds the command, all parameters, the seed, and
-the package version; `--plot` additionally emits a static SVG chart next to
+on request) whose header embeds the command, all parameters (the seed of a
+sampling command among them), and the package version; `--plot` additionally emits a static SVG chart next to
 the table.  Identical configurations produce byte-identical data payloads.
 """
 
@@ -35,7 +35,7 @@ def _header(args: argparse.Namespace) -> dict:
     option of the command except _UNRECORDED, leaving out unset ones."""
     cfg = {"version": __version__}
     for name, value in vars(args).items():
-        if name in _UNRECORDED or value is None or value == ():
+        if name in _UNRECORDED or value is None:
             continue
         if isinstance(value, tuple):
             value = ",".join(
@@ -45,24 +45,24 @@ def _header(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(v) for v in text.replace(" ", "").split(",") if v)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+def _list(kind):
+    """argparse type of a comma-separated, non-empty list of `kind` values."""
+
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(kind(v) for v in text.replace(" ", "").split(",") if v)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"bad {kind.__name__} list {text!r}"
+            ) from exc
+        if not values:
+            raise argparse.ArgumentTypeError("empty list")
+        return values
+
+    return parse
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(v) for v in text.replace(" ", "").split(",") if v)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad number list {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+_HORIZONS = tuple(float(t) for t in range(3, 13))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,67 +73,77 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, samples=None, uses_workers=True):
-        p.add_argument("--seed", type=int, default=0)
-        if samples is not None:
-            p.add_argument("--samples", type=int, default=samples)
-        if uses_workers:
-            p.add_argument("--workers", type=int, default=1)
+    def add_output(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", metavar="PATH", default=None)
         p.add_argument("--plot", action="store_true")
 
+    def add_sampling(p, samples, *, pooled=True):
+        p.add_argument("--samples", type=int, default=samples)
+        p.add_argument("--seed", type=int, default=0)
+        if pooled:
+            p.add_argument("--workers", type=int, default=1)
+        add_output(p)
+
+    def add_ns(p):
+        ns = p.add_mutually_exclusive_group(required=True)
+        ns.add_argument("--n", type=int)
+        ns.add_argument("--n-list", type=_list(int))
+
     p = sub.add_parser("mn-check", help="three-way kernel evaluation table")
     p.add_argument("--n", type=int, required=True)
-    add_common(p, uses_workers=False)
+    add_output(p)
 
     p = sub.add_parser("persist", help="Monte Carlo persistence probability")
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-list", type=_int_list, default=())
+    add_ns(p)
     p.add_argument(
         "--interval", choices=("full", "low", "high", "main"), default="full"
     )
     p.add_argument("--delta", type=float, default=0.25)
-    add_common(p, samples=100_000)
+    add_sampling(p, 100_000)
 
     p = sub.add_parser("ratio", help="normalized ratio sequence vs. the exponent")
-    p.add_argument("--n-list", type=_int_list, required=True)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--n-list", type=_list(int), required=True)
     p.add_argument("--delta", type=float, default=0.25)
-    p.add_argument("--horizons", type=_float_list,
-                   default=tuple(float(t) for t in range(3, 13)))
-    add_common(p)
+    p.add_argument("--horizons", type=_list(float), default=_HORIZONS)
+    add_sampling(p, None)
 
     p = sub.add_parser("gp-exponent", help="survival exponent of the limit process")
-    p.add_argument("--horizons", type=_float_list,
-                   default=tuple(float(t) for t in range(3, 13)))
+    p.add_argument("--horizons", type=_list(float), default=_HORIZONS)
     p.add_argument("--delta", type=float, default=0.25)
-    add_common(p, samples=200_000, uses_workers=False)
+    add_sampling(p, 200_000, pooled=False)
 
     p = sub.add_parser("negligible", help="edge-interval contribution report")
-    p.add_argument("--n-list", type=_int_list, required=True)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--n-list", type=_list(int), required=True)
     p.add_argument("--delta", type=float, default=0.25)
-    add_common(p)
+    add_sampling(p, None)
 
     p = sub.add_parser("game", help="random games with no internal equilibria")
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-list", type=_int_list, default=())
-    add_common(p, samples=10_000)
+    add_ns(p)
+    add_sampling(p, 10_000)
 
     p = sub.add_parser("b1-report", help="autocorrelation limit-gap diagnostics")
-    p.add_argument("--n-list", type=_int_list, required=True)
-    add_common(p, uses_workers=False)
+    p.add_argument("--n-list", type=_list(int), required=True)
+    add_output(p)
 
     return parser
 
 
 def _ns(args: argparse.Namespace) -> tuple[int, ...]:
-    if args.n_list:
-        return args.n_list
-    if args.n is not None:
-        return (args.n,)
-    raise ValueError("one of --n or --n-list is required")
+    return args.n_list or (args.n,)
+
+
+def _estimate_row(est, **cells) -> dict:
+    """One table row: the estimate's counts, p_hat and Wilson bounds, then
+    the command's own cells; each writer keeps only its command's fields."""
+    return {
+        "samples": est.samples,
+        "successes": est.successes,
+        "p_hat": est.p_hat,
+        "ci_low": est.ci_low,
+        "ci_high": est.ci_high,
+        **cells,
+    }
 
 
 # --- command implementations; each returns (fieldnames, rows, plotspec) ---
@@ -197,18 +207,7 @@ def _cmd_persist(args: argparse.Namespace):
         ratio = None
         if est.log_usable() and n > 0:
             ratio = -est.log_p / (math.pi * math.sqrt(n))
-        rows.append(
-            {
-                "n": n,
-                "interval": args.interval,
-                "samples": est.samples,
-                "successes": est.successes,
-                "p_hat": est.p_hat,
-                "ci_low": est.ci_low,
-                "ci_high": est.ci_high,
-                "ratio": ratio,
-            }
-        )
+        rows.append(_estimate_row(est, n=n, interval=args.interval, ratio=ratio))
     plot = ("n", ("p_hat",), "persistence probability", "n", "p")
     return fields, rows, plot
 
@@ -240,37 +239,21 @@ def _cmd_ratio(args: argparse.Namespace):
         "b_stderr",
         "gap",
     )
-    rows = []
-    for pt in points:
-        rows.append(
-            {
-                "n": pt.n,
-                "samples": pt.estimate.samples,
-                "successes": pt.estimate.successes,
-                "p_hat": pt.estimate.p_hat,
-                "ratio": pt.ratio,
-                "ratio_ci_low": pt.ci_low,
-                "ratio_ci_high": pt.ci_high,
-                "b_hat": fit.b_hat,
-                "b_stderr": fit.stderr,
-                "gap": abs(pt.ratio - fit.b_hat),
-            }
+    fitted = {"b_hat": fit.b_hat, "b_stderr": fit.stderr}
+    rows = [
+        _estimate_row(
+            pt.estimate,
+            n=pt.n,
+            ratio=pt.ratio,
+            ratio_ci_low=pt.ci_low,
+            ratio_ci_high=pt.ci_high,
+            gap=abs(pt.ratio - fit.b_hat),
+            **fitted,
         )
-    for n, est in dropped:
-        rows.append(
-            {
-                "n": n,
-                "samples": est.samples,
-                "successes": est.successes,
-                "p_hat": est.p_hat,
-                "ratio": None,
-                "ratio_ci_low": None,
-                "ratio_ci_high": None,
-                "b_hat": fit.b_hat,
-                "b_stderr": fit.stderr,
-                "gap": None,
-            }
-        )
+        for pt in points
+    ]
+    # dropped n (below the success floor) leave the ratio cells empty
+    rows += [_estimate_row(est, n=n, **fitted) for n, est in dropped]
     plot = ("n", ("ratio", "b_hat"), "ratio sequence vs. exponent", "n", "ratio")
     return fields, rows, plot
 
@@ -300,26 +283,21 @@ def _cmd_gp_exponent(args: argparse.Namespace):
     for horizon, est in estimates:
         usable = est.log_usable()
         rows.append(
-            {
-                "horizon": horizon,
-                "samples": est.samples,
-                "successes": est.successes,
-                "p_hat": est.p_hat,
-                "ci_low": est.ci_low,
-                "ci_high": est.ci_high,
-                "log_p": est.log_p if usable else None,
-                "log_p_stderr": est.log_p_stderr if usable else None,
-                "b_hat": fit.b_hat,
-                "b_stderr": fit.stderr,
-                "intercept": fit.intercept,
-            }
+            _estimate_row(
+                est,
+                horizon=horizon,
+                log_p=est.log_p if usable else None,
+                log_p_stderr=est.log_p_stderr if usable else None,
+                b_hat=fit.b_hat,
+                b_stderr=fit.stderr,
+                intercept=fit.intercept,
+            )
         )
     plot = ("horizon", ("log_p",), "survival decay", "T", "log p")
     return fields, rows, plot
 
 
 def _cmd_negligible(args: argparse.Namespace):
-    rows_out = []
     fields = (
         "n",
         "interval",
@@ -330,29 +308,24 @@ def _cmd_negligible(args: argparse.Namespace):
         "ci_high",
         "neg_log_p_over_sqrt_n",
     )
-    for row in negligible_interval_report(
-        args.n_list,
-        samples=args.samples,
-        seed=args.seed,
-        workers=args.workers,
-        step=args.delta,
-    ):
-        est = row.estimate
-        rows_out.append(
-            {
-                "n": row.n,
-                "interval": row.kind,
-                "samples": est.samples,
-                "successes": est.successes,
-                "p_hat": est.p_hat,
-                "ci_low": est.ci_low,
-                "ci_high": est.ci_high,
-                "neg_log_p_over_sqrt_n": row.normalized,
-            }
+    rows = [
+        _estimate_row(
+            row.estimate,
+            n=row.n,
+            interval=row.kind,
+            neg_log_p_over_sqrt_n=row.normalized,
         )
+        for row in negligible_interval_report(
+            args.n_list,
+            samples=args.samples,
+            seed=args.seed,
+            workers=args.workers,
+            step=args.delta,
+        )
+    ]
     plot = ("n", ("neg_log_p_over_sqrt_n",), "edge-interval contribution",
             "n", "-log p / sqrt(n)")
-    return fields, rows_out, plot
+    return fields, rows, plot
 
 
 def _cmd_game(args: argparse.Namespace):
@@ -365,16 +338,7 @@ def _cmd_game(args: argparse.Namespace):
             seed=(args.seed, players),
             workers=args.workers,
         )
-        rows.append(
-            {
-                "players": players,
-                "samples": est.samples,
-                "no_equilibria": est.successes,
-                "p_hat": est.p_hat,
-                "ci_low": est.ci_low,
-                "ci_high": est.ci_high,
-            }
-        )
+        rows.append(_estimate_row(est, players=players, no_equilibria=est.successes))
     plot = ("players", ("p_hat",), "games with no internal equilibrium",
             "players", "probability")
     return fields, rows, plot

@@ -244,17 +244,18 @@ def cholesky_with_escalation(
     kernel: GaussianKernel,
     times: np.ndarray,
     jitter: float = 1e-12,
-    max_jitter: float = MAX_JITTER,
 ) -> tuple[np.ndarray, float]:
-    """Cholesky factor with jitter escalated by decades up to max_jitter."""
+    """Cholesky factor and the jitter it took.  The jitter starts at `jitter`
+    and escalates by decades up to MAX_JITTER; a failure there raises
+    FactorizationError."""
     j = jitter
     while True:
         try:
             return _cholesky(kernel, times, j), j
         except FactorizationError:
-            if j >= max_jitter:
+            if j >= MAX_JITTER:
                 raise
-            j = min(j * 10.0, max_jitter)
+            j = min(j * 10.0, MAX_JITTER)
 
 
 @_kept(_STATE_CACHE_BYTES)
@@ -342,18 +343,16 @@ class ExponentFit:
     points: tuple[tuple[float, float, float], ...]  # (T, log p, stderr of log p)
 
 
-def fit_exponent(
-    points: Sequence[tuple[float, float, float]], t_min: float = 3.0
-) -> ExponentFit:
+def fit_exponent(points: Sequence[tuple[float, float, float]]) -> ExponentFit:
     """Fit log p(T) = intercept - b T by inverse-variance weighted least squares.
 
-    Points with T < t_min are skimmed off as pre-asymptotic; at least 4 usable
+    Points with T < 3 are skimmed off as pre-asymptotic; at least 4 usable
     points are required.
     """
-    usable = [(float(t), float(lp), float(se)) for t, lp, se in points if t >= t_min]
+    usable = [(float(t), float(lp), float(se)) for t, lp, se in points if t >= 3.0]
     if len(usable) < 4:
         raise ValueError(
-            f"need at least 4 usable points with T >= {t_min}, got {len(usable)}"
+            f"need at least 4 usable points with T >= 3.0, got {len(usable)}"
         )
     t = np.array([u[0] for u in usable])
     y = np.array([u[1] for u in usable])

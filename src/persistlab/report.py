@@ -92,10 +92,10 @@ def svg_text(
     title: str,
     xlabel: str,
     ylabel: str,
-    width: int = 760,
-    height: int = 480,
 ) -> str:
-    """Static single-file SVG line/scatter chart with axes and a legend."""
+    """Static single-file 760 x 480 SVG line/scatter chart with axes and a
+    legend."""
+    width, height = 760, 480
     ml, mr, mt, mb = 72, 24, 40, 56
     xs = [float(v) for v in x_values]
     ys = [

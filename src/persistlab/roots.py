@@ -241,15 +241,24 @@ def build_chain(p: DyadicPolynomial) -> SturmChain:
     return SturmChain(tuple(tuple(c) for c in chain))
 
 
-def _squarefree_chain(c: Sequence[int]) -> SturmChain:
-    """Chain of the squarefree part c / gcd(c, c'), the gcd read off c's
-    chain; reuses c's own chain when c is already squarefree (the chain ends
-    at a constant, the common case), which halves the chain work."""
+def _squarefree_part(c: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+    """The primitive squarefree part c / gcd(c, c') and c's own chain, the
+    gcd read off the chain's last element; c is its own squarefree part when
+    the chain ends at a constant, the common case."""
     c0 = _primitive(list(c))
     chain = _signed_remainder_chain(c0)
     if len(chain[-1]) > 1:  # gcd(c, c') up to a factor; the quotient's sign is moot
         gcd = _primitive(list(chain[-1]))
-        chain = _signed_remainder_chain(_primitive(_exact_div(c0, gcd)))
+        return _primitive(_exact_div(c0, gcd)), chain
+    return c0, chain
+
+
+def _squarefree_chain(c: Sequence[int]) -> SturmChain:
+    """Chain of the squarefree part of c; reuses c's own chain when c is
+    already squarefree, which halves the chain work."""
+    part, chain = _squarefree_part(c)
+    if len(chain[-1]) > 1:
+        chain = _signed_remainder_chain(part)
     return SturmChain(tuple(tuple(e) for e in chain))
 
 
@@ -420,7 +429,7 @@ def _descartes(decide: Callable, c: Sequence[int]) -> tuple[Sequence[int], Any]:
     None)) for the squarefree part s of c itself, not of a larger image."""
     got = decide(c, _MAX_DEPTH)
     if got is None:
-        c = _squarefree_chain(c).elements[0]
+        c = _squarefree_part(c)[0]
         got = decide(c, None)
     return c, got
 

@@ -8,6 +8,9 @@ from functools import lru_cache
 
 __all__ = ["PersistenceEstimate", "SplittingEstimate", "wilson_ci"]
 
+# successes an estimate needs before its log p is used
+_LOG_FLOOR = 10
+
 
 @lru_cache(maxsize=16)
 def _z(level: float) -> float:
@@ -61,7 +64,7 @@ class _Interval:
 
 @dataclass(frozen=True)
 class PersistenceEstimate(_Interval):
-    """Monte Carlo proportion estimate with its 95% (by default) Wilson interval.
+    """Monte Carlo proportion estimate with its 95% Wilson interval.
 
     Zero-success estimates keep a meaningful upper bound but are not usable on
     the log scale; log-based consumers should check `log_usable` first.
@@ -88,12 +91,11 @@ class PersistenceEstimate(_Interval):
         cls,
         successes: int,
         samples: int,
-        level: float = 0.95,
         unresolved: int = 0,
         escalated: int = 0,
         exact: int = 0,
     ) -> "PersistenceEstimate":
-        lo, hi = wilson_ci(successes, samples, level)
+        lo, hi = wilson_ci(successes, samples)
         return cls(
             successes,
             samples,
@@ -105,8 +107,8 @@ class PersistenceEstimate(_Interval):
             exact,
         )
 
-    def log_usable(self, floor: int = 10) -> bool:
-        return self.successes >= floor
+    def log_usable(self) -> bool:
+        return self.successes >= _LOG_FLOOR
 
     @property
     def log_p(self) -> float:
@@ -190,8 +192,8 @@ class SplittingEstimate(_Interval):
             tuple(float(a) for a in replicate_accept),
         )
 
-    def log_usable(self, floor: int = 10) -> bool:
-        return self.successes >= floor and self.p_hat > 0.0
+    def log_usable(self) -> bool:
+        return self.successes >= _LOG_FLOOR and self.p_hat > 0.0
 
     @property
     def log_p(self) -> float:

@@ -320,6 +320,29 @@ def test_double_root_inside_takes_the_squarefree_retry(n, short_roots):
             dp = DyadicPolynomial.from_binomial(p)
             assert count_positive_roots(dp).count == 1
             assert no_positive_roots(dp) is False
+        # the retry's squarefree part is the first element of the squarefree chain
+        for c in (ints, image):
+            part, _ = roots._squarefree_part(c)
+            assert tuple(part) == roots._squarefree_chain(c).elements[0]
+
+
+def test_capped_retry_builds_one_chain(monkeypatch):
+    # at the depth cap the retry needs only the squarefree part, read off c's
+    # own chain; the quotient's chain is never built
+    calls = []
+    build = roots._signed_remainder_chain
+
+    def counted(c0):
+        calls.append(len(c0) - 1)
+        return build(c0)
+
+    monkeypatch.setattr(roots, "_MAX_DEPTH", 0)
+    monkeypatch.setattr(roots, "_signed_remainder_chain", counted)
+    ints = dyadic(1.0, -3.0, 0.0, 4.0).scaled_integers()  # (2x - 1)^2 (x + 1)
+    c, got = roots._descartes(roots._root_inside, ints)
+    assert got is True  # the touch at 1/2
+    assert calls == [3]
+    assert list(c) == [-1, 1, 2]  # (2x - 1)(x + 1)
 
 
 def test_interval_decision_rejects_bad_endpoints():
