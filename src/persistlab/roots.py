@@ -16,6 +16,7 @@ error); only the columns it leaves undecided need the exact engines.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -487,20 +488,63 @@ def is_persistent(p: BinomialPolynomial, lo: float = 0.0, hi: float = math.inf) 
 
 _BERNSTEIN_DEPTH = 40  # bisection levels before a column is left undecided
 _BERNSTEIN_CELLS = 64  # open cells a column may keep before it is left undecided
-_STEP_ROUNDING = 2.0**-52  # largest error of one averaging step, see below
+_BLOCK = 56  # de Casteljau levels per product; C(56, 28) < 2^53 keeps weights exact
+_BLOCK_ROUNDING = 2.0**-51  # error of one product, per term; see bernstein_verdicts
+
+
+@functools.cache
+def _weights() -> tuple[np.ndarray, np.ndarray]:
+    """The de Casteljau weights w[t, l] = C(t, l) / 2^t, l <= t <= _BLOCK,
+    zero above the diagonal, each an exact double, and the same table
+    reversed in both axes; built once, read-only."""
+    w = np.zeros((_BLOCK + 1, _BLOCK + 1))
+    for t in range(_BLOCK + 1):
+        w[t, : t + 1] = [math.comb(t, l) / 2.0**t for l in range(t + 1)]
+    flipped = w[::-1, ::-1].copy()
+    w.flags.writeable = flipped.flags.writeable = False
+    return w, flipped
+
+
+def _blocks(m: int) -> tuple[int, int]:
+    """(blocks, levels per block) of a split at degree m: the fewest blocks
+    of at most _BLOCK levels, all of one size but a shorter last one."""
+    blocks = max(1, -(-m // _BLOCK))
+    return blocks, -(-m // blocks)
 
 
 def _split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint de Casteljau subdivision of Bernstein coefficient columns
-    c (m + 1, cells): the coefficients of the left and right halves of each
-    cell.  The value at the midpoint is left[-1] (= right[0])."""
+    c (m + 1, cells), m >= 1: the coefficients of the left and right halves
+    of each cell.  The value at the midpoint is left[-1], and right[0] the
+    same value from another product.
+
+    Level k of the de Casteljau triangle is c_i^(k) = sum_l w[k, l] c_(i+l),
+    and left[k] = c_0^(k), right[m - k] = c_(m-k)^(k).  The m levels go in
+    blocks of b <= _BLOCK: from the row of level s, one product over its
+    first b + 1 entries gives left at levels s + 1..s + b, one over its last
+    b + 1 entries right (with the reversed table, as w[t, l] = w[t, t - l]),
+    and one banded product with w[b] moves the row on to level s + b."""
+    c = np.ascontiguousarray(c)
     m = len(c) - 1
     left = np.empty_like(c)
     right = np.empty_like(c)
     left[0], right[m] = c[0], c[m]
-    for k in range(1, m + 1):
-        c = (c[:-1] + c[1:]) * 0.5
-        left[k], right[m - k] = c[0], c[-1]
+    w, flipped = _weights()
+    b = _blocks(m)[1]
+    for s in range(0, m, b):
+        t = min(b, m - s)
+        np.matmul(w[1 : t + 1, : t + 1], c[: t + 1], out=left[s + 1 : s + t + 1])
+        np.matmul(
+            flipped[_BLOCK - t : _BLOCK, _BLOCK - t :],
+            c[-t - 1 :],
+            out=right[m - s - t : m - s],
+        )
+        if s + t < m:
+            # the windows c[i : i + b + 1] of the C-ordered row, a
+            # (rows, b + 1, cells) view that is only read
+            shape = (len(c) - b, b + 1, c.shape[1])
+            rows = np.ndarray(shape, c.dtype, c, strides=c.strides[:1] + c.strides)
+            c = np.matmul(w[b, : b + 1], rows)
     return left, right
 
 
@@ -525,23 +569,30 @@ def bernstein_verdicts(a: np.ndarray) -> np.ndarray:
       * the other cells are bisected by midpoint de Casteljau, on all
         columns' cells at once, and a midpoint value below -e_(d+1) certifies
         a root between 0 and that point.
-    Rounding (Higham 2002, ch. 3; Moore, Kearfott & Cloud 2009): every
-    computed value is within 4 in magnitude, so one averaging step
-    (x + y) * 0.5 errs by at most half an ulp of a sum below 8, halved
-    (2^-52), or, when the sum is subnormal, by one halving (2^-1075), never
-    both; averaging does not grow the errors of its inputs.  A value at
-    depth d is d n steps deep, so it errs by at most
-    e_d = d n 2^-52 plus the 2^-1075 of a scaling that underflowed, and a
-    double strictly beyond e_d clears that last term by its own ulp.  Every
-    verdict is therefore either certified or left to the exact path.
+    Rounding (Higham 2002, ch. 3; Moore, Kearfott & Cloud 2009): _split
+    computes every value as one product sum_l w_l r_l of at most b + 1
+    exact, nonnegative weights that sum to 1 (b <= _BLOCK levels per block,
+    see _split) with computed values r_l below 3 in magnitude (the exact
+    values are convex combinations of the scaled column, below 2, and the
+    errors below stay under 1 for any n under 10^13).  In any order of
+    summation, fused or not, the product errs from sum_l w_l r_l by at most
+    gamma_(b+1) sum_l w_l |r_l| < 3 (b + 1) 2^-53 (1 + 2^-46), plus 2^-1075
+    for each term that underflows, in all below (b + 1) 2^-51; the errors
+    already in the r_l pass through as a convex combination and do not grow.
+    A value at level k of a split is ceil(k / b) products deep, so one split
+    at degree n adds at most rho = ceil(n / b) (b + 1) 2^-51, and a value at
+    depth d errs by at most e_d = d rho plus the 2^-1075 of a scaling that
+    underflowed; a double strictly beyond e_d clears that last term by its
+    own ulp.  Every verdict is therefore either certified or left to the
+    exact path.
 
     The live columns are copied once into one C-ordered block, and every
     later gather keeps that order (take and compress, not a[:, index], which
     numpy returns in Fortran order).  Every step reduces or compares across
     the few coefficient rows of each column, and in Fortran order numpy runs
-    those one column at a time, some 30 times slower at n = 1.  Copies and
-    elementwise steps give the same floats in any order, so the verdicts do
-    not depend on the layout of a.
+    those one column at a time, some 30 times slower at n = 1.  Whatever the
+    layout of a, every later step sees the same C-ordered block, so the
+    verdicts do not depend on it.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or len(a) == 0:
@@ -558,11 +609,13 @@ def bernstein_verdicts(a: np.ndarray) -> np.ndarray:
     block = a.take(live, axis=1)  # C-ordered, unlike a[:, live]
     _, exponent = np.frexp(np.abs(block).max(axis=0))
     cells = np.ldexp(block * sign[live], 1 - exponent)
+    blocks, b = _blocks(n)
+    rho = blocks * (b + 1) * _BLOCK_ROUNDING  # the error one split adds
     owner = np.arange(len(live))
     rooted = np.zeros(len(live), dtype=bool)
     undecided = np.zeros(len(live), dtype=bool)
     for depth in range(_BERNSTEIN_DEPTH + 1):
-        open_ = ~(cells > depth * n * _STEP_ROUNDING).all(axis=0)
+        open_ = cells.min(axis=0) <= depth * rho
         # a column still open at the depth cap is undecided, and so is one
         # with more than _BERNSTEIN_CELLS open cells: near a tangency the
         # values stay within the rounding bound on a whole interval, whose
@@ -574,7 +627,7 @@ def bernstein_verdicts(a: np.ndarray) -> np.ndarray:
             break
         left, right = _split(cells.compress(open_, axis=1))
         owner = owner[open_]
-        rooted[owner[left[-1] < -(depth + 1) * n * _STEP_ROUNDING]] = True
+        rooted[owner[left[-1] < -(depth + 1) * rho]] = True
         keep = ~rooted[owner]
         cells = np.concatenate(
             (left.compress(keep, axis=1), right.compress(keep, axis=1)), axis=1

@@ -602,6 +602,32 @@ def test_certificate_matches_exact_across_exponent_range(n, seed, exponents):
     checked_verdicts(np.ldexp(g, np.array(exponents[: n + 1])[:, None]))
 
 
+@pytest.mark.parametrize("n", [57, 113, 200])
+def test_certificate_matches_exact_across_blocks(n):
+    # 2, 3 and 4 blocks of de Casteljau levels per split (roots._blocks)
+    rng = np.random.default_rng(n)
+    offsets = np.repeat([0.0, 1.0, 2.0, 3.0], 3)
+    verdicts = checked_verdicts(offsets + rng.standard_normal((n + 1, len(offsets))))
+    assert set(verdicts.tolist()) == {-1, 1}
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    n=st.integers(57, 200),
+    seed=st.integers(0, 2**32 - 1),
+    tiny=st.lists(st.integers(-1074, -1000), min_size=3, max_size=3),
+)
+def test_certificate_matches_exact_with_underflow_across_blocks(n, seed, tiny):
+    # positive columns with three rows of negative coefficients 2^-1000 to
+    # 2^-1074 times a normal draw, whose terms in the products of a split of
+    # 2 to 4 blocks fall to subnormals or to zero
+    rng = np.random.default_rng(seed)
+    a = np.abs(rng.standard_normal((n + 1, 2)))
+    rows = rng.choice(n + 1, size=3, replace=False)
+    a[rows] = -np.ldexp(a[rows], np.array(tiny)[:, None])
+    checked_verdicts(a)
+
+
 @certificate_settings
 @given(
     n=st.integers(1, 40),
@@ -697,3 +723,67 @@ def test_certificate_does_not_depend_on_the_layout(n):
     for name, view in views.items():
         got = bernstein_verdicts(view)
         assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+
+
+# --- blocked de Casteljau subdivision against the per-level loop ---
+
+
+def reference_split(c):
+    """Midpoint de Casteljau subdivision one level at a time, (x + y) * 0.5
+    per step: within m 2^-52 of exact on columns below 2 in magnitude."""
+    m = len(c) - 1
+    left = np.empty_like(c)
+    right = np.empty_like(c)
+    left[0], right[m] = c[0], c[m]
+    for k in range(1, m + 1):
+        c = (c[:-1] + c[1:]) * 0.5
+        left[k], right[m - k] = c[0], c[-1]
+    return left, right
+
+
+def test_weights_are_exact():
+    w, flipped = roots._weights()
+    assert np.array_equal(flipped, w[::-1, ::-1])
+    for t in range(roots._BLOCK + 1):
+        assert w[t].sum() == 1.0
+        assert [math.ldexp(v, t) for v in w[t, : t + 1]] == [
+            math.comb(t, l) for l in range(t + 1)
+        ]
+
+
+@pytest.mark.parametrize("cells", [1, 16, 256])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 56, 57, 144, 300, 1000])
+def test_blocked_split_matches_the_level_loop(m, cells):
+    rng = np.random.default_rng(m)
+    c = rng.standard_normal((m + 1, cells)) + rng.choice([0.0, 2.0], cells)
+    # scaled as bernstein_verdicts scales: largest |c| in [1, 2)
+    c = np.ldexp(c, 1 - np.frexp(np.abs(c).max(axis=0))[1])
+    blocks, b = roots._blocks(m)
+    assert b <= roots._BLOCK and (blocks - 1) * b < m <= blocks * b
+    # both within their own bound of the exact values
+    bound = blocks * (b + 1) * 2.0**-51 + m * 2.0**-52
+    for got, ref in zip(roots._split(c), reference_split(c)):
+        assert np.abs(got - ref).max() <= bound
+
+
+def test_blocked_verdicts_never_contradict_the_level_loop(monkeypatch):
+    # the loop's error, m 2^-52 per split, is within the blocked split's
+    # bound, so its verdicts are certified too: the two may differ only
+    # between a certified verdict and 0
+    rng = np.random.default_rng(25)
+    scanner = mc._scanner(144, IntervalSpec("full"), 0.25)
+    xi = rng.standard_normal((scanner.rank, 600))
+    a = scanner.lift(xi, rng.standard_normal((145, 600)))
+    a[:, ::3] += 1.5  # deep bisection
+    blocks = [a]
+    for players in (2, 3, 4, 5):
+        scanner = mc._scanner(players - 1, IntervalSpec("full"), 0.25)
+        xi = rng.standard_normal((scanner.rank, 2000))
+        xi = xi.compress(~scanner.sign_change(xi), axis=1)
+        blocks.append(scanner.lift(xi, rng.standard_normal((players, xi.shape[1]))))
+    blocked = [bernstein_verdicts(block) for block in blocks]
+    monkeypatch.setattr(roots, "_split", reference_split)
+    for got, block in zip(blocked, blocks):
+        ref = bernstein_verdicts(block)
+        assert np.all((got == ref) | (got == 0) | (ref == 0))
+    assert set(np.concatenate(blocked).tolist()) >= {-1, 1}
